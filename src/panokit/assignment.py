@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .losses import LossWeights, dice_loss, focal_loss
-from .types import QueryProvenance, ValidationError
+from .types import QueryProvenance, ValidationError, binarize
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def mass_center(mask: np.ndarray) -> np.ndarray:
 def bbox_of(mask: np.ndarray) -> np.ndarray:
     """Tight (x0, y0, x1, y1) box of the binarized mask, exclusive right/bottom;
     all zeros when nothing exceeds 0.5."""
-    b = np.asarray(mask) > 0.5
-    ys, xs = np.nonzero(b)
+    ys, xs = np.nonzero(binarize(mask))
     if ys.size == 0:
         return np.zeros(4, np.float64)
     return np.array(

@@ -77,6 +77,12 @@ def _lambda_triple(text: str) -> tuple[float, float, float]:
     return cls_w, seg_w, det_w
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _strategy_list(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     for name in names:
@@ -125,7 +131,7 @@ def build_parser() -> _Parser:
         default="auto",
         help="merge same-category stuff segments (auto: on for argmax variants)",
     )
-    p_merge.add_argument("--threads", type=int, default=1)
+    p_merge.add_argument("--threads", type=_positive_int, default=1)
     p_merge.set_defaults(func=_cmd_merge)
 
     p_eval = sub.add_parser("eval", help="panoptic quality of pred vs gt")
@@ -138,7 +144,7 @@ def build_parser() -> _Parser:
         default=True,
         help="do not count mostly-on-void unmatched predictions as FPs",
     )
-    p_eval.add_argument("--threads", type=int, default=1)
+    p_eval.add_argument("--threads", type=_positive_int, default=1)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_assign = sub.add_parser("assign", help="match queries to ground truth")
@@ -263,21 +269,28 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    taxonomy, gt_items = read_panoptic_set(args.gt)
-    _, pred_items = read_panoptic_set(args.pred)
+def _read_pairs(pred_dir: str, gt_dir: str):
+    """Read a pred and a gt panoptic set whose image ids must agree."""
+    taxonomy, gt_items = read_panoptic_set(gt_dir)
+    _, pred_items = read_panoptic_set(pred_dir)
     preds = dict(pred_items)
+    gt_ids = {g for g, _ in gt_items}
     missing = [i for i, _ in gt_items if i not in preds]
-    extra = [i for i in preds if i not in {g for g, _ in gt_items}]
+    extra = [i for i in preds if i not in gt_ids]
     if missing or extra:
         raise ValidationError(
-            f"image ids disagree between pred and gt "
+            f"image ids disagree between {pred_dir} and {gt_dir} "
             f"(missing from pred: {missing}, extra in pred: {extra})"
         )
+    return taxonomy, [(preds[i], gt) for i, gt in gt_items]
+
+
+def _cmd_eval(args) -> int:
+    taxonomy, pairs = _read_pairs(args.pred, args.gt)
     reports = _map_images(
         args.threads,
-        lambda item: pq(preds[item[0]], item[1], taxonomy, args.void_forgive),
-        gt_items,
+        lambda pair: pq(pair[0], pair[1], taxonomy, args.void_forgive),
+        pairs,
     )
     total = PqReport()
     for report in reports:
@@ -304,14 +317,14 @@ def _cmd_eval(args) -> int:
         Path(args.out),
         {
             "schema": "pq-report/1",
-            "images": len(gt_items),
+            "images": len(pairs),
             "aggregates": aggregates,
             "per_category": per_category,
         },
     )
     print(
         f"PQ {aggregates['pq']:.4f} SQ {aggregates['sq']:.4f} "
-        f"RQ {aggregates['rq']:.4f} over {len(gt_items)} images "
+        f"RQ {aggregates['rq']:.4f} over {len(pairs)} images "
         f"({aggregates['categories']} categories)"
     )
     return 0
@@ -435,14 +448,10 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    taxonomy, gt_items = read_panoptic_set(args.gt)
-    _, pred_items = read_panoptic_set(args.pred)
-    preds = dict(pred_items)
+    taxonomy, pairs = _read_pairs(args.pred, args.gt)
     merged = QueryStats()
-    for image_id, gt in gt_items:
-        if image_id not in preds:
-            raise ValidationError(f"image {image_id} missing from predictions")
-        merged = merged.merge(query_stats(preds[image_id], gt, taxonomy))
+    for pred, gt in pairs:
+        merged = merged.merge(query_stats(pred, gt, taxonomy))
     rows = decile_table(merged)
     print(format_decile_table(rows))
     if args.out:

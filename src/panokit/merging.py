@@ -12,13 +12,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scoring import ScoreParams, stack_scores
+from .scoring import ScoreParams, predicted_labels, stack_scores
 from .types import (
     CategorySpec,
     MaskStack,
     PanopticMap,
     Segment,
     ValidationError,
+    binarize,
     stuff_ids,
 )
 
@@ -48,14 +49,47 @@ class MergeParams:
             raise ValidationError(f"min_area must be >= 0, got {self.min_area}")
 
 
-def _paint_order(
-    confs: np.ndarray, cats: np.ndarray, stack: MaskStack, subset: Sequence[int]
-) -> list[int]:
-    # descending confidence; ties resolved by (category id, query index) ascending
-    return sorted(
-        subset,
-        key=lambda i: (-confs[i], cats[i], stack.provenance[i].query_index),
+def _paint(
+    stack: MaskStack,
+    scores: np.ndarray,
+    cats: np.ndarray,
+    subset: Sequence[int],
+    params: MergeParams,
+    sem: np.ndarray,
+    ids: np.ndarray,
+    void: np.ndarray,
+    segments: list[Segment],
+) -> None:
+    """Paint subset onto (sem, ids, void) in place by mask_wise_merge's rules,
+    in descending score order; ties go to (category id, query index) ascending.
+    Each painted mask appends a Segment with instance id len(segments) + 1."""
+    order = sorted(
+        subset, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
     )
+    for i in order:
+        if scores[i] < params.t_cnf:
+            continue
+        cover = binarize(stack.masks[i])
+        area = int(cover.sum())
+        if area == 0:
+            # no paintable pixels; also keeps the kept-fraction well-defined
+            continue
+        visible = cover & void
+        visible_area = int(visible.sum())
+        if visible_area == 0 or visible_area / area < params.t_keep:
+            continue
+        instance_id = len(segments) + 1
+        sem[visible] = cats[i]
+        ids[visible] = instance_id
+        void[visible] = False
+        segments.append(
+            Segment(
+                instance_id=instance_id,
+                category_id=int(cats[i]),
+                source_query=stack.provenance[i].query_index,
+                score=float(scores[i]),
+            )
+        )
 
 
 def mask_wise_merge(
@@ -77,31 +111,7 @@ def mask_wise_merge(
     ids = np.zeros((stack.height, stack.width), np.int32)
     void = np.ones((stack.height, stack.width), bool)
     segments: list[Segment] = []
-    next_id = 1
-    for i in _paint_order(confs, cats, stack, range(stack.n)):
-        cover = stack.masks[i] > 0.5
-        area = int(cover.sum())
-        if area == 0:
-            # no paintable pixels; also keeps the kept-fraction well-defined
-            continue
-        if confs[i] < params.t_cnf:
-            continue
-        visible = cover & void
-        visible_area = int(visible.sum())
-        if visible_area == 0 or visible_area / area < params.t_keep:
-            continue
-        sem[visible] = cats[i]
-        ids[visible] = next_id
-        void[visible] = False
-        segments.append(
-            Segment(
-                instance_id=next_id,
-                category_id=int(cats[i]),
-                source_query=stack.provenance[i].query_index,
-                score=float(confs[i]),
-            )
-        )
-        next_id += 1
+    _paint(stack, confs, cats, range(stack.n), params, sem, ids, void, segments)
     out = PanopticMap(sem, ids, tuple(segments))
     if params.merge_same_stuff:
         out = merge_same_category_stuff(out, taxonomy)
@@ -124,7 +134,7 @@ def pixel_wise_argmax(
     """
     if stack.n == 0:
         raise ValidationError("pixel_wise_argmax needs at least one mask")
-    cats, probs, _ = stack_scores(stack, taxonomy)
+    cats, probs = predicted_labels(stack, taxonomy)
     if weighted:
         scores = stack.masks.astype(np.float64) * probs[:, None, None]
     else:
@@ -134,21 +144,19 @@ def pixel_wise_argmax(
     id_lut = np.zeros(stack.n, np.int32)
     cat_lut = np.zeros(stack.n, np.int32)
     segments: list[Segment] = []
-    next_id = 1
     for i in range(stack.n):
         if areas[i] == 0 or areas[i] < min_area:
             continue
-        id_lut[i] = next_id
+        id_lut[i] = len(segments) + 1
         cat_lut[i] = cats[i]
         segments.append(
             Segment(
-                instance_id=next_id,
+                instance_id=int(id_lut[i]),
                 category_id=int(cats[i]),
                 source_query=stack.provenance[i].query_index,
                 score=float(probs[i]),
             )
         )
-        next_id += 1
     ids = id_lut[winners]
     sem = cat_lut[winners]
     out = PanopticMap(sem, ids, tuple(segments))
@@ -171,36 +179,13 @@ def heuristic_merge(
     below min_area are voided.
     """
     params = params or MergeParams()
-    cats, probs, _ = stack_scores(stack, taxonomy)
+    cats, probs = predicted_labels(stack, taxonomy)
     sem = np.zeros((stack.height, stack.width), np.int32)
     ids = np.zeros((stack.height, stack.width), np.int32)
     void = np.ones((stack.height, stack.width), bool)
     segments: list[Segment] = []
-    next_id = 1
     thing_idx = [i for i, p in enumerate(stack.provenance) if p.is_thing]
-    for i in _paint_order(probs, cats, stack, thing_idx):
-        cover = stack.masks[i] > 0.5
-        area = int(cover.sum())
-        if area == 0:
-            continue
-        if probs[i] < params.t_cnf:
-            continue
-        visible = cover & void
-        visible_area = int(visible.sum())
-        if visible_area == 0 or visible_area / area < params.t_keep:
-            continue
-        sem[visible] = cats[i]
-        ids[visible] = next_id
-        void[visible] = False
-        segments.append(
-            Segment(
-                instance_id=next_id,
-                category_id=int(cats[i]),
-                source_query=stack.provenance[i].query_index,
-                score=float(probs[i]),
-            )
-        )
-        next_id += 1
+    _paint(stack, probs, cats, thing_idx, params, sem, ids, void, segments)
     stuff_idx = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
     if stuff_idx:
         winners = np.argmax(stack.masks[stuff_idx], axis=0)
@@ -209,17 +194,17 @@ def heuristic_merge(
             area = int(claim.sum())
             if area == 0 or area < params.min_area:
                 continue
+            instance_id = len(segments) + 1
             sem[claim] = cats[i]
-            ids[claim] = next_id
+            ids[claim] = instance_id
             segments.append(
                 Segment(
-                    instance_id=next_id,
+                    instance_id=instance_id,
                     category_id=int(cats[i]),
                     source_query=stack.provenance[i].query_index,
                     score=float(probs[i]),
                 )
             )
-            next_id += 1
     out = PanopticMap(sem, ids, tuple(segments))
     if params.merge_same_stuff:
         out = merge_same_category_stuff(out, taxonomy)

@@ -143,6 +143,12 @@ def _matches(
     gt_cat = {s.instance_id: s.category_id for s in gt.segments}
     pred_cat = {s.instance_id: s.category_id for s in pred.segments}
     gt_area, pred_area, inter, void_overlap = _overlaps(pred, gt)
+    for side, areas, cats in (("gt", gt_area, gt_cat), ("pred", pred_area, pred_cat)):
+        for inst in areas:
+            if inst not in cats:
+                raise ValidationError(
+                    f"{side} instance id {inst} has no segment record"
+                )
     candidates = []
     for (gid, pid), count in inter.items():
         if gt_cat[gid] != pred_cat[pid]:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import CategorySpec, MaskStack, ValidationError, taxonomy_columns
+from .types import CategorySpec, MaskStack, ValidationError, binarize, taxonomy_columns
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class ScoreParams:
 
 
 def segmentation_quality(mask: np.ndarray) -> float:
-    """Mean of mask values strictly above 0.5; 0.0 when none qualify."""
-    m = np.asarray(mask, np.float64)
-    above = m[m > 0.5]
+    """Mean of the mask values kept by binarize; 0.0 when none qualify."""
+    m = np.asarray(mask)
+    above = m[binarize(m)]
     if above.size == 0:
         return 0.0
-    return float(above.mean())
+    return float(above.astype(np.float64).mean())
 
 
 def confidence(p: float, mask: np.ndarray, params: ScoreParams = ScoreParams()) -> float:
@@ -55,7 +55,8 @@ def predicted_labels(
     """Resolve each query to (category id, class probability).
 
     Thing queries take their argmax column (lowest column on ties); stuff
-    queries read the probability of their fixed category.
+    queries read the probability of their fixed category. Raises
+    ValidationError when a resolved probability is NaN or outside [0, 1].
     """
     columns = taxonomy_columns(taxonomy)
     ids_by_column = np.array([c.id for c in taxonomy], np.int64)
@@ -74,6 +75,8 @@ def predicted_labels(
                 )
             cats[i] = prov.fixed_category
             probs[i] = row[columns[prov.fixed_category]]
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
+        raise ValidationError("class probabilities must be finite and lie in [0, 1]")
     return cats, probs
 
 

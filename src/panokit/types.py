@@ -124,8 +124,9 @@ def validate_stack(
 ) -> MaskStack:
     """Check every MaskStack invariant; return the stack unchanged.
 
-    Raises ValidationError on dimension mismatch, probabilities outside
-    [0, 1], unknown category ids, or stuff entries without a fixed_category.
+    Raises ValidationError on dimension mismatch, mask values or
+    probabilities that are NaN or outside [0, 1], unknown category ids, or
+    stuff entries without a fixed_category.
     """
     columns = taxonomy_columns(taxonomy)
     if stack.masks.ndim != 3:
@@ -149,10 +150,11 @@ def validate_stack(
             f"class_probs have {stack.class_probs.shape[1]} columns, "
             f"taxonomy has {len(taxonomy)} categories"
         )
-    if n and (stack.masks.min() < 0.0 or stack.masks.max() > 1.0):
-        raise ValidationError("mask values must lie in [0, 1]")
-    if n and (stack.class_probs.min() < 0.0 or stack.class_probs.max() > 1.0):
-        raise ValidationError("class probabilities must lie in [0, 1]")
+    # min() and max() propagate NaN, and a NaN bound fails both comparisons
+    if n and not (stack.masks.min() >= 0.0 and stack.masks.max() <= 1.0):
+        raise ValidationError("mask values must be finite and lie in [0, 1]")
+    if n and not (stack.class_probs.min() >= 0.0 and stack.class_probs.max() <= 1.0):
+        raise ValidationError("class probabilities must be finite and lie in [0, 1]")
     for prov in stack.provenance:
         if prov.is_thing:
             if prov.fixed_category is not None:
@@ -172,15 +174,10 @@ def validate_stack(
     return stack
 
 
-def binarize(mask: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Strict thresholding: pixel is true iff its value exceeds threshold.
-
-    The comparison runs in float64 so a float32 mask is compared against
-    the threshold's exact value rather than its float32 rounding.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    return np.asarray(mask, np.float64) > float(threshold)
+def binarize(mask: np.ndarray) -> np.ndarray:
+    """The one binarization rule: a pixel is true iff its value exceeds 0.5.
+    Compared in the mask's own dtype, exact since 0.5 is representable."""
+    return np.asarray(mask) > 0.5
 
 
 @dataclass(frozen=True)
@@ -219,8 +216,8 @@ class PanopticMap:
         return self.sem.shape[1]
 
     def validate(self) -> "PanopticMap":
-        """Single linear scan over the map checking all invariants:
-        void coupling, ids covered by segments, one category per id."""
+        """Check void coupling, ids covered by segments, and one category per
+        id; the last check makes one full-frame pass per instance id."""
         if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
             raise ValidationError(
                 f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"

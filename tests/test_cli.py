@@ -180,6 +180,28 @@ def test_stats_cli_writes_report(tmp_path, capsys):
     assert payload["table"][-1]["bin"] == "total"
 
 
+def test_stats_extra_pred_image_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "4", "--images", "2", "--out", str(data)])
+    main(["merge", "--in", str(data / "manifest.json"), "--out", str(tmp_path / "pred")])
+    main(["synth", "--seed", "4", "--images", "1", "--out", str(tmp_path / "one")])
+    capsys.readouterr()
+    code = main(
+        ["stats", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "one" / "gt")]
+    )
+    assert code == 2
+    assert "extra in pred: ['0001']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_nonpositive_threads_is_usage_error(tmp_path, capsys, value):
+    merge = ["merge", "--in", "x", "--out", str(tmp_path / "pred")]
+    evaluate = ["eval", "--pred", "x", "--gt", "y", "--out", str(tmp_path / "r.json")]
+    for argv in (merge, evaluate):
+        assert main(argv + ["--threads", value]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_bench_cli_runs_small(tmp_path, capsys):
     code = main(
         [

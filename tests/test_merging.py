@@ -3,6 +3,7 @@ import pytest
 
 from panokit import (
     DEFAULT_TAXONOMY,
+    MaskStack,
     MergeParams,
     ScoreParams,
     ValidationError,
@@ -192,16 +193,39 @@ def test_heuristic_stuff_only_matches_argmax():
     assert np.array_equal(ours.sem, ref.sem)
 
 
+def _things_only(stack):
+    keep = [i for i, p in enumerate(stack.provenance) if p.is_thing]
+    provenance = tuple(stack.provenance[i] for i in keep)
+    return MaskStack(stack.masks[keep], stack.class_probs[keep], provenance)
+
+
 def test_heuristic_things_match_maskwise_beta_zero():
     rng = np.random.default_rng(11)
     masks = (rng.random((3, 8, 8)) > 0.35).astype(np.float32)
-    stack = make_stack(masks, [1, 2, 3], [0.9, 0.7, 0.5])
-    ours = heuristic_merge(stack, DEFAULT_TAXONOMY)
-    ref = mask_wise_merge(
-        stack, DEFAULT_TAXONOMY, MergeParams(score=ScoreParams(beta=0.0))
-    )
-    assert np.array_equal(ours.sem, ref.sem)
-    assert np.array_equal(ours.ids, ref.ids)
+    stacks = [make_stack(masks, [1, 2, 3], [0.9, 0.7, 0.5])]
+    stacks += [_things_only(random_stack(seed, 8, 8, 8)) for seed in range(40)]
+    beta_zero = MergeParams(score=ScoreParams(beta=0.0))
+    for stack in stacks:
+        ours = heuristic_merge(stack, DEFAULT_TAXONOMY)
+        ref = mask_wise_merge(stack, DEFAULT_TAXONOMY, beta_zero)
+        assert np.array_equal(ours.sem, ref.sem)
+        assert np.array_equal(ours.ids, ref.ids)
+        assert ours.segments == ref.segments
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_every_strategy_rejects_bad_class_probability(bad):
+    masks = np.full((2, 4, 4), 0.9, np.float32)
+    for cats in ([1, 6], [6, 1]):
+        stack = make_stack(masks, cats, [bad, 0.8])
+        for run in (
+            mask_wise_merge,
+            heuristic_merge,
+            pixel_wise_argmax,
+            lambda s, t: pixel_wise_argmax(s, t, weighted=True),
+        ):
+            with pytest.raises(ValidationError):
+                run(stack, DEFAULT_TAXONOMY)
 
 
 def test_merge_same_category_stuff_cases():

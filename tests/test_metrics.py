@@ -3,6 +3,7 @@ import pytest
 
 from panokit import (
     DEFAULT_TAXONOMY,
+    PanopticMap,
     PqReport,
     ValidationError,
     generate_scene,
@@ -189,6 +190,26 @@ def test_query_stats_fp_when_category_wrong():
     stats = query_stats(pred, gt, DEFAULT_TAXONOMY)
     assert stats.per_query[0].fp_things == 1
     assert stats.per_query[0].tp_things == 0
+
+
+def _map_without_records():
+    sem = np.zeros((4, 4), np.int32)
+    ids = np.zeros((4, 4), np.int32)
+    sem[0], ids[0] = 1, 5
+    return PanopticMap(sem, ids, ())
+
+
+def test_pq_missing_segment_record_rejected():
+    bare = _map_without_records()
+    with pytest.raises(ValidationError, match="instance id 5 has no segment record"):
+        pq(bare, bare, DEFAULT_TAXONOMY)
+
+
+def test_query_stats_missing_segment_record_rejected():
+    bare = _map_without_records()
+    gt = make_map(bare.sem, bare.ids)
+    with pytest.raises(ValidationError, match="pred instance id 5"):
+        query_stats(bare, gt, DEFAULT_TAXONOMY)
 
 
 def test_decile_table_layout_and_totals():

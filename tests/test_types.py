@@ -37,6 +37,18 @@ def test_mask_value_above_one_rejected():
         validate_stack(stack, DEFAULT_TAXONOMY)
 
 
+def test_all_nan_masks_rejected():
+    stack = make_stack(np.full((2, 4, 4), np.nan), [1, 6], [0.9, 0.8])
+    with pytest.raises(ValidationError, match="finite"):
+        validate_stack(stack, DEFAULT_TAXONOMY)
+
+
+def test_nan_class_probability_rejected():
+    stack = make_stack(np.full((2, 4, 4), 0.7), [1, 6], [0.9, np.nan])
+    with pytest.raises(ValidationError, match="finite"):
+        validate_stack(stack, DEFAULT_TAXONOMY)
+
+
 def test_stuff_without_fixed_category_rejected():
     stack = make_stack(np.full((1, 4, 4), 0.5), [1])
     prov = (QueryProvenance(0, False, None),)
@@ -76,7 +88,7 @@ def test_binarize_all_zeros_false():
 
 def test_binarize_exact_half_is_false():
     m = np.full((2, 2), 0.5, np.float32)
-    assert not binarize(m, 0.5).any()
+    assert not binarize(m).any()
 
 
 def test_binarize_center_only():
@@ -86,18 +98,11 @@ def test_binarize_center_only():
     assert out[1, 1] and out.sum() == 1
 
 
-def test_binarize_threshold_range_enforced():
-    with pytest.raises(ValidationError):
-        binarize(np.zeros((2, 2), np.float32), 1.0)
-    with pytest.raises(ValidationError):
-        binarize(np.zeros((2, 2), np.float32), 0.0)
-
-
-@given(st.floats(0.0, 1.0, allow_nan=False), st.floats(0.01, 0.99))
-def test_binarize_matches_strict_compare(value, threshold):
-    m = np.full((2, 2), value, np.float32)
-    out = binarize(m, threshold)
-    assert bool(out[0, 0]) == (float(np.float32(value)) > threshold)
+@given(st.floats(0.0, 1.0, allow_nan=False))
+def test_binarize_matches_strict_compare(value):
+    for dtype in (np.float16, np.float32, np.float64):
+        m = np.full((2, 2), value, dtype)
+        assert bool(binarize(m)[0, 0]) == (float(dtype(value)) > 0.5)
 
 
 def test_taxonomy_columns_positional():
