@@ -14,8 +14,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .losses import LossWeights, dice_loss, focal_loss
+from .losses import _LOG_FLOOR, LossWeights, dice_loss, focal_loss
 from .types import QueryProvenance, ValidationError, binarize
+
+# the focal_loss and dice_loss defaults that matching_cost uses
+_FOCAL_GAMMA = 2.0
+_FOCAL_ALPHA = 0.25
+_DICE_EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,24 @@ def mass_center(mask: np.ndarray) -> np.ndarray:
     return np.array([(m.sum(axis=1) * ys).sum() / total, (m.sum(axis=0) * xs).sum() / total])
 
 
+def _extent(mask: np.ndarray) -> Optional[tuple[int, int, int, int]]:
+    """(y0, y1, x0, x1) bounds of the nonzero pixels of a 2-d mask, exclusive
+    ends; None when every pixel is zero."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def bbox_of(mask: np.ndarray) -> np.ndarray:
     """Tight (x0, y0, x1, y1) box of the binarized mask, exclusive right/bottom;
     all zeros when nothing exceeds 0.5."""
-    ys, xs = np.nonzero(binarize(mask))
-    if ys.size == 0:
+    extent = _extent(binarize(mask))
+    if extent is None:
         return np.zeros(4, np.float64)
-    return np.array(
-        [xs.min(), ys.min(), xs.max() + 1, ys.max() + 1], np.float64
-    )
+    y0, y1, x0, x1 = extent
+    return np.array([x0, y0, x1, y1], np.float64)
 
 
 def giou(box_a: np.ndarray, box_b: np.ndarray) -> float:
@@ -190,12 +204,155 @@ def build_cost_matrix(
     location_mode: str = "box",
     normalize: bool = True,
 ) -> np.ndarray:
-    """(len(queries), len(targets)) matrix of matching costs."""
-    out = np.zeros((len(queries), len(targets)), np.float64)
-    for i, query in enumerate(queries):
-        for j, target in enumerate(targets):
-            out[i, j] = matching_cost(query, target, weights, location_mode, normalize)
-    return out
+    """(len(queries), len(targets)) matrix of matching costs.
+
+    Computed for all pairs at once; matching_cost is the scalar reference,
+    equal up to summation order, and each input it rejects is rejected here
+    with the same ValidationError. Every query must carry the same number
+    of class probabilities. Entry (0, 0) is also computed by matching_cost,
+    and a disagreement beyond 1e-9 raises ValidationError.
+    """
+    if not queries or not targets:
+        return np.zeros((len(queries), len(targets)), np.float64)
+    cls_cost = _class_costs(queries, targets)
+    # checked in the order that names the first mismatched pair, row-major
+    shape = np.shape(queries[0].mask)
+    for t in targets:
+        if np.shape(t.mask) != shape:
+            raise ValidationError(
+                f"shape mismatch: pred {shape} vs gt {np.shape(t.mask)}"
+            )
+    for q in queries:
+        if np.shape(q.mask) != shape:
+            raise ValidationError(
+                f"shape mismatch: pred {np.shape(q.mask)} vs gt {shape}"
+            )
+    height, width = shape
+    seg_cost = _dice_costs(queries, targets)
+    if location_mode == "box":
+        if any(x.box is None for x in (*queries, *targets)):
+            raise ValidationError("box location mode needs boxes on both sides")
+        qb = np.stack([np.asarray(q.box, np.float64) for q in queries])
+        tb = np.stack([np.asarray(t.box, np.float64) for t in targets])
+        if normalize:
+            scale = np.array([width, height, width, height], np.float64)
+            qb, tb = qb / scale, tb / scale
+        l1 = np.abs(_cxcywh(qb)[:, None] - _cxcywh(tb)[None]).sum(axis=-1)
+        loc_cost = l1 + (1.0 - _giou_matrix(qb, tb))
+    elif location_mode == "mass_center":
+        if any(x.center is None for x in (*queries, *targets)):
+            raise ValidationError("mass_center location mode needs centers on both sides")
+        qc = np.stack([np.asarray(q.center, np.float64) for q in queries])
+        tc = np.stack([np.asarray(t.center, np.float64) for t in targets])
+        if normalize:
+            scale = np.array([height, width], np.float64)
+            qc, tc = qc / scale, tc / scale
+        loc_cost = np.abs(qc[:, None] - tc[None]).sum(axis=-1)
+    else:
+        raise ValidationError(f"unknown location mode {location_mode!r}")
+    costs = (
+        weights.lambda_cls * cls_cost
+        + weights.lambda_seg * seg_cost
+        + weights.lambda_det * loc_cost
+    )
+    # run-time canary: one entry recomputed by the scalar reference, at the
+    # cost of one full-frame dice per matrix
+    want = matching_cost(queries[0], targets[0], weights, location_mode, normalize)
+    if not np.isclose(costs[0, 0], want, rtol=1e-9, atol=1e-9, equal_nan=True):
+        raise ValidationError(
+            f"batched cost {costs[0, 0]!r} disagrees with matching_cost {want!r}"
+        )
+    return costs
+
+
+def _class_costs(
+    queries: Sequence[MatchQuery], targets: Sequence[MatchTarget]
+) -> np.ndarray:
+    """(Q, T) focal_loss of each query's class probabilities at each
+    target's category index: the negative terms of a row are summed once,
+    then each column swaps its own class's negative term for the positive."""
+    probs = [np.asarray(q.class_probs, np.float64) for q in queries]
+    for p in probs:
+        if p.ndim != 1:
+            raise ValidationError(f"pred must be a vector, got shape {p.shape}")
+    if len({p.size for p in probs}) != 1:
+        raise ValidationError(
+            "every query must carry the same number of class probabilities"
+        )
+    p = np.stack(probs)
+    n_cls = p.shape[1]
+    # per row, so that a NaN row does not hide a bad one, as in focal_loss
+    if n_cls and ((p.min(axis=1) < 0.0) | (p.max(axis=1) > 1.0)).any():
+        raise ValidationError("pred entries must lie in [0, 1]")
+    for t in targets:
+        if not 0 <= t.category_index < n_cls:
+            raise ValidationError(
+                f"target index {t.category_index} outside [0, {n_cls})"
+            )
+    cols = np.array([t.category_index for t in targets], np.intp)
+    neg = -(1.0 - _FOCAL_ALPHA) * p**_FOCAL_GAMMA * np.log(
+        np.maximum(1.0 - p, _LOG_FLOOR)
+    )
+    pt = p[:, cols]
+    pos = -_FOCAL_ALPHA * (1.0 - pt) ** _FOCAL_GAMMA * np.log(np.maximum(pt, _LOG_FLOOR))
+    return neg.sum(axis=1)[:, None] - neg[:, cols] + pos
+
+
+def _dice_costs(
+    queries: Sequence[MatchQuery], targets: Sequence[MatchTarget]
+) -> np.ndarray:
+    """(Q, T) dice_loss of each query mask against each target mask. The
+    intersection with a target is summed inside the bounding window of its
+    nonzero pixels only, since pixels outside it add exactly zero."""
+    masks = np.stack([np.asarray(q.mask) for q in queries])
+    q_sums = masks.reshape(len(queries), -1).sum(axis=1, dtype=np.float64)
+    inter = np.zeros((len(queries), len(targets)), np.float64)
+    t_sums = np.zeros(len(targets), np.float64)
+    for j, target in enumerate(targets):
+        gt = np.asarray(target.mask)
+        extent = _extent(gt)
+        if extent is None:
+            continue
+        y0, y1, x0, x1 = extent
+        window = masks[:, y0:y1, x0:x1]
+        gt = gt[y0:y1, x0:x1]
+        if gt.dtype == np.bool_:
+            inter[:, j] = window[:, gt].sum(axis=1, dtype=np.float64)
+            t_sums[j] = np.count_nonzero(gt)
+        else:
+            gt = gt.astype(np.float64)
+            inter[:, j] = (window * gt).sum(axis=(1, 2))
+            t_sums[j] = gt.sum()
+    dice = 1.0 - (2.0 * inter + _DICE_EPS) / (q_sums[:, None] + t_sums + _DICE_EPS)
+    # dice_loss is NaN whenever the query holds a NaN or an infinity, even
+    # outside every window, where this intersection never looks
+    dice[~np.isfinite(q_sums)] = np.nan
+    return dice
+
+
+def _cxcywh(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4) boxes from (x0, y0, x1, y1) to (cx, cy, w, h)."""
+    x0, y0, x1, y1 = boxes.T
+    return np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], axis=1)
+
+
+def _giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(Q, T) giou of every pair of rows of (Q, 4) and (T, 4) boxes."""
+    for boxes in (a, b):
+        if ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
+            raise ValidationError("boxes must satisfy x1 >= x0 and y1 >= y0")
+    a, b = a[:, None], b[None]
+    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    inter = np.prod(np.maximum(0.0, overlap), axis=-1)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    hull = np.prod(
+        np.maximum(a[..., 2:], b[..., 2:]) - np.minimum(a[..., :2], b[..., :2]), axis=-1
+    )
+    gap = np.divide(hull - union, hull, out=np.zeros_like(hull), where=hull > 0)
+    return iou - gap
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ class FuseHead:
                 f"{path}: head file must be a vector of 3h+1 entries, "
                 f"got shape {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"{path}: head weights must be finite")
         return cls(vec[:-1].astype(np.float64), float(vec[-1]))
 
 

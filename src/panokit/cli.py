@@ -419,6 +419,8 @@ def _cmd_assign(args) -> int:
 
 def _cmd_fuse(args) -> int:
     tokens = read_pst(args.attn)
+    if not np.isfinite(tokens).all():
+        raise ValidationError(f"{args.attn}: tokens must be finite")
     if args.head is not None:
         head = FuseHead.load(args.head)
     else:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panokit import assignment
 from panokit import (
     Assignment,
     LossWeights,
@@ -141,28 +142,166 @@ def test_matching_cost_floor_at_exact_reproduction():
     assert cost == pytest.approx(0.0, abs=1e-9)
 
 
+def _scalar_matrix(queries, targets, weights, mode, normalize=True):
+    """The cost matrix rebuilt entry by entry from the scalar reference."""
+    out = np.zeros((len(queries), len(targets)))
+    for i, query in enumerate(queries):
+        for j, target in enumerate(targets):
+            out[i, j] = matching_cost(query, target, weights, mode, normalize)
+    return out
+
+
 def test_build_cost_matrix_agrees_with_hungarian_oracle():
-    rng = np.random.default_rng(9)
+    cases = [
+        (9, 3, 2, "box", True),
+        (10, 5, 3, "box", False),
+        (11, 4, 4, "mass_center", True),
+        (12, 6, 3, "mass_center", False),
+    ]
+    for seed, n_queries, n_targets, mode, normalize in cases:
+        rng = np.random.default_rng(seed)
+        queries = []
+        targets = []
+        for i in range(n_queries):
+            m = (rng.random((8, 8)) > 0.5).astype(np.float32)
+            probs = rng.random(8).astype(np.float32)
+            queries.append(
+                MatchQuery(probs, m, box=bbox_of(m), center=mass_center(m.astype(np.float64)))
+            )
+        for i in range(n_targets):
+            m = rng.random((8, 8)) > 0.5
+            targets.append(
+                MatchTarget(i, m, box=bbox_of(m), center=mass_center(m.astype(np.float64)))
+            )
+        costs = build_cost_matrix(queries, targets, LossWeights(), mode, normalize)
+        assert costs.shape == (n_queries, n_targets)
+        np.testing.assert_allclose(
+            costs,
+            _scalar_matrix(queries, targets, LossWeights(), mode, normalize),
+            rtol=0,
+            atol=1e-12,
+        )
+        fast = hungarian(costs)
+        slow = oracle_assignment(costs)
+        assert assignment_cost(costs, fast) == pytest.approx(
+            assignment_cost(costs, slow)
+        )
+
+
+def _random_match_case(seed):
+    """Queries and targets of random size; every 10th case has no targets,
+    every 3rd an all-zero query mask, odd seeds soft float64 target masks,
+    and every 4th an empty target mask."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(3, 24, 2))
+    n_cls = int(rng.integers(1, 9))
+    n_q = int(rng.integers(1, 8))
+    n_t = 0 if seed % 10 == 0 else int(rng.integers(1, n_q + 1))
     queries = []
+    for i in range(n_q):
+        keep = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+        mask = (rng.random((h, w)) * keep).astype(np.float32)
+        if i == 0 and seed % 3 == 0:
+            mask[:] = 0.0
+        center = mass_center(mask) if mask.any() else np.array([(h - 1) / 2, (w - 1) / 2])
+        probs = rng.random(n_cls).astype(np.float32)
+        queries.append(MatchQuery(probs, mask, bbox_of(mask), center))
     targets = []
-    for i in range(3):
-        m = (rng.random((8, 8)) > 0.5).astype(np.float32)
-        probs = rng.random(8).astype(np.float32)
-        queries.append(
-            MatchQuery(probs, m, box=bbox_of(m), center=mass_center(m.astype(np.float64)))
-        )
-    for i in range(2):
-        m = rng.random((8, 8)) > 0.5
-        targets.append(
-            MatchTarget(i, m, box=bbox_of(m), center=mass_center(m.astype(np.float64)))
-        )
-    costs = build_cost_matrix(queries, targets, LossWeights(), "box")
-    assert costs.shape == (3, 2)
-    fast = hungarian(costs)
-    slow = oracle_assignment(costs)
-    assert assignment_cost(costs, fast) == pytest.approx(
-        assignment_cost(costs, slow)
-    )
+    for j in range(n_t):
+        mask = rng.random((h, w)) < rng.uniform(0.05, 0.5)
+        if seed % 2:
+            mask = mask * rng.random((h, w))
+        if j == 0 and seed % 4 == 1:
+            mask = np.zeros_like(mask)
+        center = mass_center(mask) if mask.any() else np.zeros(2)
+        category = int(rng.integers(0, n_cls))
+        targets.append(MatchTarget(category, mask, bbox_of(mask), center))
+    return queries, targets, LossWeights(*rng.uniform(0.0, 3.0, 3))
+
+
+def test_build_cost_matrix_matches_scalar_matching_cost():
+    for seed in range(240):
+        queries, targets, weights = _random_match_case(seed)
+        for mode in ("box", "mass_center"):
+            for normalize in (True, False):
+                got = build_cost_matrix(queries, targets, weights, mode, normalize)
+                want = _scalar_matrix(queries, targets, weights, mode, normalize)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert build_cost_matrix([], targets).shape == (0, len(targets))
+
+
+def _defect(kind):
+    """One good query and target, plus one of each carrying the defect."""
+    mask = np.zeros((8, 8), np.float32)
+    mask[2:5, 3:6] = 0.9
+    box = bbox_of(mask)
+    center = mass_center(mask)
+    probs = np.full(4, 0.25, np.float32)
+    query = MatchQuery(probs, mask, box, center)
+    target = MatchTarget(1, mask > 0.5, box, center)
+    bad_query, bad_target = query, target
+    if kind == "probs_not_vector":
+        bad_query = MatchQuery(probs.reshape(2, 2), mask, box, center)
+    elif kind == "probs_out_of_range":
+        bad_query = MatchQuery(np.array([0.1, 1.5, 0.0, 0.2]), mask, box, center)
+    elif kind == "category_out_of_range":
+        bad_target = MatchTarget(4, mask > 0.5, box, center)
+    elif kind == "mask_shape":
+        bad_target = MatchTarget(1, np.ones((8, 9), bool), box, center)
+    elif kind in ("missing_box", "missing_center"):
+        bad_target = MatchTarget(1, mask > 0.5)
+    elif kind == "reversed_box":
+        bad_query = MatchQuery(probs, mask, np.array([5.0, 2.0, 3.0, 5.0]), center)
+    return [query, bad_query], [target, bad_target]
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        ("probs_not_vector", "box"),
+        ("probs_out_of_range", "box"),
+        ("category_out_of_range", "box"),
+        ("mask_shape", "box"),
+        ("missing_box", "box"),
+        ("missing_center", "mass_center"),
+        ("reversed_box", "box"),
+        ("none", "corners"),
+    ],
+)
+def test_build_cost_matrix_rejects_what_matching_cost_rejects(kind, mode):
+    queries, targets = _defect(kind)
+    with pytest.raises(ValidationError) as scalar:
+        _scalar_matrix(queries, targets, LossWeights(), mode)
+    with pytest.raises(ValidationError) as batched:
+        build_cost_matrix(queries, targets, LossWeights(), mode)
+    assert str(batched.value) == str(scalar.value)
+
+
+def _bbox_by_nonzero(mask):
+    ys, xs = np.nonzero(np.asarray(mask) > 0.5)
+    if ys.size == 0:
+        return np.zeros(4)
+    return np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1], np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.float16, np.float32, np.float64])
+def test_bbox_of_matches_nonzero_form(dtype):
+    rng = np.random.default_rng(5)
+    single = np.zeros((9, 13))
+    single[4, 7] = 0.75
+    half = np.zeros((9, 13))
+    half[1:3, 2:9] = 0.5
+    half[2, 4] = 0.625
+    cases = [np.zeros((9, 13)), single, half]
+    for _ in range(60):
+        shape = tuple(int(v) for v in rng.integers(1, 20, 2))
+        cases.append(rng.random(shape) * (rng.random(shape) < rng.uniform(0.0, 0.3)))
+    for mask in cases:
+        mask = mask > 0.5 if dtype is np.bool_ else mask.astype(dtype)
+        box = bbox_of(mask)
+        assert box.dtype == np.float64
+        np.testing.assert_array_equal(box, _bbox_by_nonzero(mask))
 
 
 def test_unknown_location_mode_rejected():
@@ -201,3 +340,12 @@ def test_decoupled_no_ground_truth():
 def test_decoupled_rejects_thing_on_stuff_side():
     with pytest.raises(ValidationError):
         decoupled_assign(np.zeros((1, 0)), (QueryProvenance(1, True),), frozenset())
+
+
+def test_build_cost_matrix_checks_one_entry_against_scalar(monkeypatch):
+    queries, targets, weights = _random_match_case(3)
+    monkeypatch.setattr(
+        assignment, "_dice_costs", lambda qs, ts: np.zeros((len(qs), len(ts)))
+    )
+    with pytest.raises(ValidationError, match="disagrees with matching_cost"):
+        build_cost_matrix(queries, targets, weights)

@@ -3,9 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from panokit.cli import build_parser, main
+from panokit.manifest import read_panoptic_set, read_stack_manifest
 from panokit.pst import read_pst, write_pst
-from panokit import token_counts
+from panokit import (
+    LossWeights,
+    MatchQuery,
+    MatchTarget,
+    bbox_of,
+    mass_center,
+    matching_cost,
+    stuff_ids,
+    token_counts,
+)
 
 
 def test_pipeline_smoke(tmp_path, capsys):
@@ -143,6 +155,56 @@ def test_assign_writes_expected_layout(tmp_path):
     assert len(image["stuff_pairs"]) == 2
 
 
+def test_assign_matches_scalar_rebuilt_optimum(tmp_path):
+    data = tmp_path / "data"
+    main(
+        [
+            "synth", "--seed", "11", "--images", "2", "--n", "12", "--h", "256",
+            "--w", "256", "--noise", "0.1", "--out", str(data),
+        ]
+    )
+    out = tmp_path / "assign.json"
+    code = main(
+        [
+            "assign", "--pred", str(data / "manifest.json"),
+            "--gt", str(data / "gt"), "--out", str(out),
+        ]
+    )
+    assert code == 0
+    images = json.loads(out.read_text())["images"]
+    taxonomy, entries = read_stack_manifest(data / "manifest.json")
+    _, gt_items = read_panoptic_set(data / "gt")
+    columns = {c.id: pos for pos, c in enumerate(taxonomy)}
+    stuff = stuff_ids(taxonomy)
+    assert len(images) == len(entries) == 2
+    for image, entry, (_, gt) in zip(images, entries, gt_items):
+        stack = entry.load(taxonomy)
+        rows = [i for i, p in enumerate(stack.provenance) if p.is_thing]
+        queries = []
+        for i in rows:
+            mask = stack.masks[i]
+            soft = mask.astype(np.float64)
+            center = mass_center(soft) if soft.sum() > 0 else np.full(2, 127.5)
+            queries.append(MatchQuery(stack.class_probs[i], mask, bbox_of(mask), center))
+        segs = [s for s in gt.segments if s.category_id not in stuff]
+        targets = []
+        for seg in segs:
+            mask = gt.ids == seg.instance_id
+            center = mass_center(mask.astype(np.float64))
+            targets.append(MatchTarget(columns[seg.category_id], mask, bbox_of(mask), center))
+        costs = np.array(
+            [[matching_cost(q, t, LossWeights()) for t in targets] for q in queries]
+        )
+        r, c = linear_sum_assignment(costs)
+        want = sorted(
+            [stack.provenance[rows[q]].query_index, segs[t].instance_id]
+            for q, t in zip(r, c)
+        )
+        assert len(targets) == 12
+        assert image["pairs"] == want
+        assert image["total_cost"] == pytest.approx(costs[r, c].sum(), rel=1e-9)
+
+
 def test_fuse_round_trip(tmp_path):
     l1, l2, l3 = token_counts(32, 32)
     tokens = np.linspace(0.0, 1.0, (l1 + l2 + l3) * 2, dtype=np.float32).reshape(-1, 2)
@@ -228,3 +290,27 @@ def test_default_flag_values_match_reference_operating_point():
     assign = parser.parse_args(["assign", "--pred", "p", "--gt", "g", "--out", "o"])
     assert assign.lambdas == (2.0, 1.0, 1.0)
     assert assign.location_mode == "box"
+
+
+@pytest.mark.parametrize("bad", ["tokens", "head"])
+def test_fuse_rejects_nonfinite_input(tmp_path, capsys, bad):
+    l1, l2, l3 = token_counts(32, 32)
+    tokens = np.full((l1 + l2 + l3, 2), 0.5, np.float32)
+    head = np.full(3 * 2 + 1, 0.5, np.float32)
+    if bad == "tokens":
+        tokens[0, 0] = np.nan
+        tokens[5, 1] = np.inf
+    else:
+        head[2] = np.nan
+    write_pst(tmp_path / "tokens.pst", tokens)
+    write_pst(tmp_path / "head.pst", head)
+    out = tmp_path / "mask.pst"
+    code = main(
+        [
+            "fuse", "--attn", str(tmp_path / "tokens.pst"), "--height", "32",
+            "--width", "32", "--head", str(tmp_path / "head.pst"), "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert f"{bad}.pst" in capsys.readouterr().err
+    assert not out.exists()

@@ -153,8 +153,22 @@ def test_panoptic_map_one_category_per_id():
     sem[0] = 1
     sem[1] = 2
     ids[:2] = 1
-    with pytest.raises(ValidationError):
+    message = r"instance id 1 spans categories \[1, 2\], segment record says 1"
+    with pytest.raises(ValidationError, match=message):
         PanopticMap(sem, ids, (Segment(1, 1),)).validate()
+
+
+def test_panoptic_map_reports_lowest_failing_id():
+    # id 5 spans two categories and id 2 has no record: the lower id is named
+    sem = np.zeros((4, 4), np.int32)
+    ids = np.zeros((4, 4), np.int32)
+    sem[0], ids[0] = 3, 5
+    sem[1], ids[1] = 1, 5
+    sem[2], ids[2] = 2, 2
+    with pytest.raises(ValidationError, match="instance id 2 has no segment record"):
+        PanopticMap(sem, ids, (Segment(5, 1),)).validate()
+    with pytest.raises(ValidationError, match=r"instance id 5 spans categories \[1, 3\]"):
+        PanopticMap(sem, ids, (Segment(2, 2), Segment(5, 1))).validate()
 
 
 def test_token_counts_32():
