@@ -92,6 +92,34 @@ def _paint(
         )
 
 
+def _first_max(
+    masks: np.ndarray, rows: Sequence[int], weights: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per pixel, the position k in rows of the largest masks[rows[k]], or of
+    masks[rows[k]] * weights[rows[k]] when weights are given; ties go to the
+    lowest k, as numpy's argmax over axis 0 breaks them.
+
+    Two sweeps over the rows, never building the (len(rows), H, W) stack: the
+    first takes the per-pixel maximum, the second walks the rows from last to
+    first and writes k wherever row k reaches it, so the lowest k lands last.
+    A weighted value is a float32 row times a float64 scalar, the same float64
+    product as casting the stack first.
+    """
+
+    def value(r: int) -> np.ndarray:
+        return masks[r] if weights is None else masks[r] * weights[r]
+
+    best = value(rows[0])
+    if weights is None:
+        best = best.copy()  # masks[r] is a read-only view
+    for r in rows[1:]:
+        np.maximum(best, value(r), out=best)
+    winners = np.zeros(masks.shape[1:], np.intp)
+    for k in range(len(rows) - 1, -1, -1):
+        np.copyto(winners, k, where=value(rows[k]) == best)
+    return winners
+
+
 def mask_wise_merge(
     stack: MaskStack,
     taxonomy: Sequence[CategorySpec],
@@ -135,11 +163,7 @@ def pixel_wise_argmax(
     if stack.n == 0:
         raise ValidationError("pixel_wise_argmax needs at least one mask")
     cats, probs = predicted_labels(stack, taxonomy)
-    if weighted:
-        scores = stack.masks.astype(np.float64) * probs[:, None, None]
-    else:
-        scores = stack.masks
-    winners = np.argmax(scores, axis=0)  # first maximum, so lowest index on ties
+    winners = _first_max(stack.masks, range(stack.n), probs if weighted else None)
     areas = np.bincount(winners.ravel(), minlength=stack.n)
     id_lut = np.zeros(stack.n, np.int32)
     cat_lut = np.zeros(stack.n, np.int32)
@@ -188,7 +212,7 @@ def heuristic_merge(
     _paint(stack, probs, cats, thing_idx, params, sem, ids, void, segments)
     stuff_idx = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
     if stuff_idx:
-        winners = np.argmax(stack.masks[stuff_idx], axis=0)
+        winners = _first_max(stack.masks, stuff_idx)
         for pos, i in enumerate(stuff_idx):
             claim = void & (winners == pos)
             area = int(claim.sum())

@@ -6,6 +6,8 @@ Layout, all little-endian: magic bytes "PST1"; u8 dtype code (0 = float32,
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Union
@@ -44,32 +46,37 @@ def write_pst(path: Union[str, Path], array: np.ndarray) -> None:
 
 
 def read_pst(path: Union[str, Path]) -> np.ndarray:
-    """Read a PST1 file; every diagnostic names the offending file."""
+    """Read a PST1 file; every diagnostic names the offending file.
+
+    The exact length is checked against the file size before the payload is
+    read, and the payload is read straight into the returned array.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise FormatError(f"{path}: no such file") from exc
-    if len(data) < 6:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    code, ndim = struct.unpack_from("<BB", data, 4)
-    dtype = _CODE_TO_DTYPE.get(code)
-    if dtype is None:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    dims_end = 6 + 4 * ndim
-    if len(data) < dims_end:
-        raise FormatError(f"{path}: truncated dim list")
-    dims = struct.unpack_from(f"<{ndim}I", data, 6)
-    count = 1
-    for d in dims:
-        count *= d
-    expected = dims_end + count * dtype.itemsize
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - dims_end} bytes, "
-            f"expected {count * dtype.itemsize} for shape {dims}"
-        )
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=dims_end)
-    return flat.reshape(dims).copy()
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if len(head) < 6:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        code, ndim = struct.unpack_from("<BB", head, 4)
+        dtype = _CODE_TO_DTYPE.get(code)
+        if dtype is None:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        dims_end = 6 + 4 * ndim
+        if size < dims_end:
+            raise FormatError(f"{path}: truncated dim list")
+        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        nbytes = math.prod(dims) * dtype.itemsize
+        if size != dims_end + nbytes:
+            raise FormatError(
+                f"{path}: payload is {size - dims_end} bytes, "
+                f"expected {nbytes} for shape {dims}"
+            )
+        out = np.empty(dims, dtype)
+        if fh.readinto(out) != nbytes:
+            raise FormatError(f"{path}: file changed while it was read")
+    return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from panokit import (
     pixel_wise_argmax,
     random_stack,
 )
+
+from panokit.merging import _first_max
 
 from conftest import make_map, make_stack
 
@@ -185,12 +189,69 @@ def test_heuristic_thing_beats_stuff_everywhere_binarized():
 
 
 def test_heuristic_stuff_only_matches_argmax():
-    rng = np.random.default_rng(3)
-    masks = rng.random((3, 8, 8)).astype(np.float32)
-    stack = make_stack(masks, [6, 7, 8], [1.0, 1.0, 1.0])
-    ours = heuristic_merge(stack, DEFAULT_TAXONOMY)
-    ref = pixel_wise_argmax(stack, DEFAULT_TAXONOMY, merge_stuff=False)
-    assert np.array_equal(ours.sem, ref.sem)
+    inputs = [
+        np.random.default_rng(3).random((3, 8, 8)),
+        np.random.default_rng(4).random((1, 8, 8)),
+        np.random.default_rng(5).integers(0, 3, (3, 8, 8)) / 2,  # many ties
+        np.full((3, 8, 8), 0.5),  # all tied: the first mask takes every pixel
+    ]
+    for masks in inputs:
+        stack = make_stack(masks, [6, 7, 8][: len(masks)], [1.0] * len(masks))
+        ours = heuristic_merge(stack, DEFAULT_TAXONOMY)
+        ref = pixel_wise_argmax(stack, DEFAULT_TAXONOMY, merge_stuff=False)
+        assert np.array_equal(ours.sem, ref.sem)
+        assert np.array_equal(ours.ids, ref.ids)
+
+
+def _stacked_argmax(masks, rows, weights):
+    scores = np.stack([masks[r] for r in rows])
+    if weights is not None:
+        scores = scores.astype(np.float64) * weights[list(rows)][:, None, None]
+    return np.argmax(scores, axis=0)
+
+
+def test_first_max_matches_stacked_argmax():
+    # Quantized values make ties common; -0.0 ties with 0.0. Every fourth case
+    # has weighted values within a float32 rounding of each other, so only
+    # the float64 product tells them apart.
+    rng = np.random.default_rng(0)
+    for case in range(2400):
+        n = int(rng.integers(1, 7))
+        h, w = (int(v) for v in rng.integers(1, 6, 2))
+        if case % 4 == 3:
+            weights = rng.uniform(0.5, 1.0, n)
+            base = rng.uniform(0.0, 0.5, (h, w))
+            masks = (base * weights[0] / weights[:, None, None]).astype(np.float32)
+        else:
+            levels = int(rng.choice([2, 3, 5]))
+            masks = (rng.integers(0, levels, (n, h, w)) / (levels - 1)).astype(np.float32)
+            masks[(masks == 0) & (rng.random(masks.shape) < 0.5)] = -0.0
+            weights = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], n)
+        kind = case % 3
+        if kind == 0:
+            rows = range(n)
+        elif kind == 1:
+            rows = [int(rng.integers(n))]
+        else:
+            size = int(rng.integers(1, n + 1))
+            rows = sorted(int(r) for r in rng.choice(n, size, replace=False))
+        for wts in (None, weights):
+            got = _first_max(masks, rows, wts)
+            assert np.array_equal(got, _stacked_argmax(masks, rows, wts)), case
+
+
+def test_argmax_never_builds_the_stack():
+    n, h, w = 16, 256, 256
+    masks = np.random.default_rng(1).random((n, h, w)).astype(np.float32)
+    stack = make_stack(masks, [1, 2, 3, 6] * 4, np.linspace(0.2, 1.0, n))
+    for weighted in (True, False):
+        tracemalloc.start()
+        try:
+            pixel_wise_argmax(stack, DEFAULT_TAXONOMY, weighted=weighted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * h * w * 8 / 2, weighted
 
 
 def _things_only(stack):
