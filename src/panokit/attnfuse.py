@@ -1,6 +1,8 @@
 """Mask head as a deterministic tensor pipeline: split flattened multi-scale
 attention tokens into spatial maps, bilinear-upsample the coarse scales,
 concatenate, and squash a per-pixel linear head into a soft mask.
+``attn_to_mask`` applies the head per scale before upsampling; the staged
+``fuse_attn`` and ``predict_mask`` are its reference.
 
 Bilinear convention: half-pixel centers without corner alignment, computed
 in lerp form so constant inputs propagate bit-exactly.
@@ -167,9 +169,23 @@ def predict_mask(fused: np.ndarray, head: FuseHead) -> np.ndarray:
 
 
 def attn_to_mask(attn: MultiScaleAttn, head: FuseHead) -> np.ndarray:
-    """Full pipeline: split, fuse, predict."""
+    """Full pipeline: split, then the head per scale, upsample, squash.
+
+    Bilinear upsampling and the head are both linear per channel, so each
+    scale is contracted with its own slice of the weights first and only
+    two single-channel maps are upsampled. Equals
+    ``predict_mask(fuse_attn(*split_attn(attn)), head)``, the reference,
+    up to float64 rounding; the (H/8, W/8, 3h) fused tensor is never built.
+    """
     if head.heads != attn.heads:
         raise ValidationError(
             f"head built for {head.heads} heads, attention carries {attn.heads}"
         )
-    return predict_mask(fuse_attn(*split_attn(attn)), head)
+    a3, a4, a5 = split_attn(attn)
+    h = attn.heads
+    w = head.weights
+    logit = a3 @ w[:h]
+    for coarse, factor, weights in ((a4, 2, w[h : 2 * h]), (a5, 4, w[2 * h :])):
+        logit += _lerp_axis(_lerp_axis(coarse @ weights, factor, 0), factor, 1)
+    logit += head.bias
+    return expit(logit, out=logit)

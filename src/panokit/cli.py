@@ -52,6 +52,7 @@ from .types import (
     PanokitError,
     ValidationError,
     stuff_ids,
+    token_counts,
 )
 
 
@@ -421,29 +422,29 @@ def _cmd_fuse(args) -> int:
     tokens = read_pst(args.attn)
     if not np.isfinite(tokens).all():
         raise ValidationError(f"{args.attn}: tokens must be finite")
+    if tokens.ndim not in (2, 3):
+        raise ValidationError(f"{args.attn}: expected (L, h) or (N, L, h) tokens")
+    heads = int(tokens.shape[-1])
+    length = sum(token_counts(args.height, args.width))
+    if tokens.shape[-2] != length:
+        raise ValidationError(
+            f"{args.attn}: a {args.height}x{args.width} base needs {length} "
+            f"tokens per query, got shape {tokens.shape}"
+        )
     if args.head is not None:
         head = FuseHead.load(args.head)
-    else:
-        if tokens.ndim < 2:
-            raise ValidationError(f"{args.attn}: expected (L, h) or (N, L, h) tokens")
-        head = FuseHead.seeded(int(tokens.shape[-1]), args.seed_head)
-    if tokens.ndim == 2:
-        batch = tokens[None]
-        squeeze = True
-    elif tokens.ndim == 3:
-        batch = tokens
-        squeeze = False
-    else:
-        raise ValidationError(f"{args.attn}: expected (L, h) or (N, L, h) tokens")
-    masks = np.stack(
-        [
-            attn_to_mask(
-                MultiScaleAttn(t, t.shape[1], args.height, args.width), head
+        if head.heads != heads:
+            raise ValidationError(
+                f"{args.head}: head built for {head.heads} heads, "
+                f"{args.attn} carries {heads}"
             )
-            for t in batch
-        ]
-    ).astype(np.float32)
-    out_arr = masks[0] if squeeze else masks
+    else:
+        head = FuseHead.seeded(heads, args.seed_head)
+    batch = tokens[None] if tokens.ndim == 2 else tokens
+    masks = np.empty((len(batch), args.height // 8, args.width // 8), np.float32)
+    for i, t in enumerate(batch):
+        masks[i] = attn_to_mask(MultiScaleAttn(t, heads, args.height, args.width), head)
+    out_arr = masks[0] if tokens.ndim == 2 else masks
     write_pst(args.out, out_arr)
     print(f"wrote {out_arr.shape} soft masks to {args.out}")
     return 0

@@ -9,6 +9,7 @@ tensors plus inline provenance; a panoptic directory holds per-image sem
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -51,6 +52,17 @@ def _load_json(path: Path, schema: str) -> dict:
 
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _publish_index(path: Path, payload: dict) -> None:
+    """Write a set's index to a temp file beside it, then rename it into
+    place, so no reader ever sees a partly written index."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        _dump_json(tmp, payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_taxonomy(path: PathLike, taxonomy: Sequence[CategorySpec]) -> None:
@@ -111,10 +123,12 @@ def write_stack_set(
     taxonomy: Sequence[CategorySpec],
     items: Sequence[tuple[str, MaskStack]],
 ) -> Path:
-    """Write taxonomy, per-image tensors, and manifest.json; returns the
-    manifest path."""
+    """Write taxonomy, per-image tensors, and manifest.json last; returns the
+    manifest path. An interrupted rewrite leaves no manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.json"
+    manifest.unlink(missing_ok=True)
     save_taxonomy(out / "taxonomy.json", taxonomy)
     images = []
     for image_id, stack in items:
@@ -137,8 +151,7 @@ def write_stack_set(
                 ],
             }
         )
-    manifest = out / "manifest.json"
-    _dump_json(
+    _publish_index(
         manifest,
         {"schema": STACK_SCHEMA, "taxonomy": "taxonomy.json", "images": images},
     )
@@ -185,10 +198,12 @@ def write_panoptic_set(
     taxonomy: Sequence[CategorySpec],
     items: Sequence[tuple[str, PanopticMap]],
 ) -> Path:
-    """Write per-image sem/ids tensors plus panoptic.json; returns the index
-    path."""
+    """Write per-image sem/ids tensors plus panoptic.json last; returns the
+    index path. An interrupted rewrite leaves no index."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    index = out / "panoptic.json"
+    index.unlink(missing_ok=True)
     save_taxonomy(out / "taxonomy.json", taxonomy)
     images = []
     for image_id, pmap in items:
@@ -216,8 +231,7 @@ def write_panoptic_set(
                 ],
             }
         )
-    index = out / "panoptic.json"
-    _dump_json(
+    _publish_index(
         index,
         {"schema": PANOPTIC_SCHEMA, "taxonomy": "taxonomy.json", "images": images},
     )

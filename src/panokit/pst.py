@@ -39,10 +39,10 @@ def write_pst(path: Union[str, Path], array: np.ndarray) -> None:
         raise FormatError(f"{path}: rank {arr.ndim} exceeds the u8 ndim field")
     header = MAGIC + struct.pack("<BB", code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=_CODE_TO_DTYPE[code]).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=_CODE_TO_DTYPE[code])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload)  # the array's own buffer, not a bytes copy
 
 
 def read_pst(path: Union[str, Path]) -> np.ndarray:

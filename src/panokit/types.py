@@ -217,7 +217,7 @@ class PanopticMap:
 
     def validate(self) -> "PanopticMap":
         """Check void coupling, ids covered by segments, and one category per
-        id; the last check is a single linear scan over (id, category) pairs."""
+        id; the last check is one sort of combined (id, category) keys."""
         if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
             raise ValidationError(
                 f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,43 @@ def test_seeded_head_deterministic():
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     c = FuseHead.seeded(8, 8)
     assert not np.array_equal(a.weights, c.weights)
+
+
+def test_attn_to_mask_matches_staged_reference():
+    rng = np.random.default_rng(5)
+    sides = range(32, 257, 32)
+    for case in range(60):
+        height, width = int(rng.choice(sides)), int(rng.choice(sides))
+        heads = (1, 3, 8)[case % 3]
+        length = sum(token_counts(height, width))
+        fill = case % 5
+        if fill == 0:
+            tokens = np.full((length, heads), rng.random(), np.float32)
+        elif fill in (1, 2):
+            tokens = np.full((length, heads), fill - 1, np.float32)
+        else:
+            tokens = rng.random((length, heads), dtype=np.float32)
+        if case % 2:
+            head = FuseHead.seeded(heads, case)
+        else:
+            head = FuseHead(rng.normal(0.0, 40.0, 3 * heads), rng.normal(0.0, 40.0))
+        attn = MultiScaleAttn(tokens, heads, height, width)
+        got = attn_to_mask(attn, head)
+        want = predict_mask(fuse_attn(*split_attn(attn)), head)
+        assert got.shape == want.shape == (height // 8, width // 8), case
+        assert got.dtype == np.float64, case
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(case))
+
+
+def test_attn_to_mask_never_builds_the_fused_tensor():
+    height = width = 512
+    heads = 8
+    attn = _attn(height, width, heads, seed=2)
+    head = FuseHead.seeded(heads, 0)
+    tracemalloc.start()
+    try:
+        attn_to_mask(attn, head)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (height // 8) * (width // 8) * 3 * heads * 8 / 2

@@ -224,6 +224,21 @@ def test_fuse_round_trip(tmp_path):
     assert ((mask > 0.0) & (mask < 1.0)).all()
 
 
+def test_fuse_empty_batch_writes_empty_stack(tmp_path):
+    l1, l2, l3 = token_counts(32, 64)
+    write_pst(tmp_path / "attn.pst", np.zeros((0, l1 + l2 + l3, 2), np.float32))
+    out = tmp_path / "mask.pst"
+    code = main(
+        [
+            "fuse", "--attn", str(tmp_path / "attn.pst"), "--height", "32",
+            "--width", "64", "--seed-head", "4", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    mask = read_pst(out)
+    assert mask.shape == (0, 4, 8) and mask.dtype == np.float32
+
+
 def test_stats_cli_writes_report(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--seed", "4", "--images", "2", "--out", str(data)])
@@ -313,4 +328,28 @@ def test_fuse_rejects_nonfinite_input(tmp_path, capsys, bad):
     )
     assert code == 2
     assert f"{bad}.pst" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["tokens", "head"])
+def test_fuse_shape_errors_name_the_file(tmp_path, capsys, bad):
+    l1, l2, l3 = token_counts(64, 32)
+    tokens = np.full((3, l1 + l2 + l3, 2), 0.5, np.float32)
+    head = np.full(3 * 2 + 1, 0.5, np.float32)
+    if bad == "tokens":
+        tokens = tokens[:, : l1 // 2]
+    else:
+        head = np.full(3 * 4 + 1, 0.5, np.float32)
+    write_pst(tmp_path / "tokens.pst", tokens)
+    write_pst(tmp_path / "head.pst", head)
+    out = tmp_path / "mask.pst"
+    code = main(
+        [
+            "fuse", "--attn", str(tmp_path / "tokens.pst"), "--height", "64",
+            "--width", "32", "--head", str(tmp_path / "head.pst"), "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / (bad + '.pst')}: ")
     assert not out.exists()

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from panokit import (
     ValidationError,
     generate_scene,
 )
+from panokit import manifest
 from panokit.manifest import (
     load_taxonomy,
     read_panoptic_set,
@@ -112,3 +114,56 @@ def test_panoptic_set_validates_maps_on_read(tmp_path):
     index.write_text(json.dumps(payload))
     with pytest.raises(ValidationError):
         read_panoptic_set(index)
+
+
+def _write_set(kind, out, seed):
+    gt, stack = _scene(seed)
+    if kind == "stack":
+        return write_stack_set(out, DEFAULT_TAXONOMY, [("a", stack), ("b", stack)])
+    return write_panoptic_set(out, DEFAULT_TAXONOMY, [("a", gt), ("b", gt)])
+
+
+def _read_set(kind, out):
+    if kind == "stack":
+        return read_stack_manifest(out)
+    return read_panoptic_set(out)
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_interrupted_rewrite_leaves_no_index(tmp_path, monkeypatch, kind):
+    out = tmp_path / "set"
+    index = _write_set(kind, out, seed=0)
+    real_write = manifest.write_pst
+    written = []
+
+    def fail_second(path, array):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(f"{path}: no space left on device")
+        real_write(path, array)
+
+    monkeypatch.setattr(manifest, "write_pst", fail_second)
+    with pytest.raises(OSError):
+        _write_set(kind, out, seed=1)
+    with pytest.raises(FormatError, match=index.name):
+        _read_set(kind, out)
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_writes_leave_no_temp_file(tmp_path, monkeypatch, kind):
+    out = tmp_path / "set"
+    index = _write_set(kind, out, seed=0)
+    tensors = ("masks", "probs") if kind == "stack" else ("sem", "ids")
+    names = {"taxonomy.json", index.name}
+    names |= {f"{image}_{t}.pst" for image in "ab" for t in tensors}
+    assert {p.name for p in out.iterdir()} == names
+    _write_set(kind, out, seed=1)
+    assert {p.name for p in out.iterdir()} == names
+
+    def refuse(src, dst):
+        raise OSError(f"{dst}: read-only file system")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        _write_set(kind, out, seed=2)
+    assert {p.name for p in out.iterdir()} == names - {index.name}

@@ -53,6 +53,33 @@ def test_zero_dim_scalar(tmp_path):
     assert empty.shape == (0, 3) and empty.dtype == np.uint32
 
 
+_PAYLOADS = {
+    "f32": np.arange(12, dtype=np.float32).reshape(3, 4) / 7,
+    "u16": np.arange(12, dtype=np.uint16).reshape(4, 3) * 5000,
+    "u32": np.arange(12, dtype=np.uint32).reshape(2, 6) * 300_000_000,
+    "f32_transposed": (np.arange(12, dtype=np.float32).reshape(3, 4) / 7).T,
+    "u16_strided": np.arange(40, dtype=np.uint16).reshape(4, 10)[:, ::3],
+    "f32_big_endian": np.arange(6, dtype=">f4").reshape(2, 3) / 3,
+    "u32_big_endian_reversed": np.arange(5, dtype=">u4")[::-1] * 70_000,
+    "f32_zero_dim": np.float32(-2.25).reshape(()),
+    "u32_empty": np.zeros((0, 3), np.uint32),
+    "f32_empty": np.zeros((2, 0, 4), np.float32),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAYLOADS))
+def test_bytes_on_disk_are_header_plus_payload(tmp_path, name):
+    arr = _PAYLOADS[name]
+    code = {"f": 0, "u": 1 if arr.dtype.itemsize == 2 else 2}[arr.dtype.kind]
+    header = b"PST1" + struct.pack("<BB", code, arr.ndim)
+    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    little = arr.astype(arr.dtype.newbyteorder("<"))
+    path = tmp_path / "p.pst"
+    write_pst(path, arr)
+    assert path.read_bytes() == header + little.tobytes()
+    assert np.array_equal(read_pst(path), arr)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(FormatError, match="float64"):
         write_pst(tmp_path / "d.pst", np.zeros(3, np.float64))
