@@ -387,13 +387,7 @@ def decoupled_assign(
                 f"stuff category {prov.fixed_category} bound to more than one query"
             )
         seen.add(prov.fixed_category)
-    c = np.asarray(thing_costs, np.float64)
-    if c.ndim != 2:
-        raise ValidationError(f"cost matrix must be 2-d, got shape {c.shape}")
-    if c.shape[1] == 0:
-        things = Assignment((), frozenset(range(c.shape[0])))
-    else:
-        things = hungarian(c)
+    things = hungarian(thing_costs)
     stuff_pairs = []
     unmatched = []
     for prov in stuff_queries:

@@ -270,19 +270,27 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _check_image_ids(
+    pred_src: str, gt_src: str, pred_ids: Sequence[str], gt_ids: Sequence[str]
+) -> None:
+    """Raise a ValidationError naming both sources unless their image ids
+    agree, listing ids missing from pred and extra in pred."""
+    pred_set, gt_set = set(pred_ids), set(gt_ids)
+    missing = [i for i in gt_ids if i not in pred_set]
+    extra = [i for i in pred_ids if i not in gt_set]
+    if missing or extra:
+        raise ValidationError(
+            f"image ids disagree between {pred_src} and {gt_src} "
+            f"(missing from pred: {missing}, extra in pred: {extra})"
+        )
+
+
 def _read_pairs(pred_dir: str, gt_dir: str):
     """Read a pred and a gt panoptic set whose image ids must agree."""
     taxonomy, gt_items = read_panoptic_set(gt_dir)
     _, pred_items = read_panoptic_set(pred_dir)
     preds = dict(pred_items)
-    gt_ids = {g for g, _ in gt_items}
-    missing = [i for i, _ in gt_items if i not in preds]
-    extra = [i for i in preds if i not in gt_ids]
-    if missing or extra:
-        raise ValidationError(
-            f"image ids disagree between {pred_dir} and {gt_dir} "
-            f"(missing from pred: {missing}, extra in pred: {extra})"
-        )
+    _check_image_ids(pred_dir, gt_dir, list(preds), [i for i, _ in gt_items])
     return taxonomy, [(preds[i], gt) for i, gt in gt_items]
 
 
@@ -365,10 +373,11 @@ def _cmd_assign(args) -> int:
     stuff = stuff_ids(taxonomy)
     weights = LossWeights(*args.lambdas)
     mode = "box" if args.location_mode == "box" else "mass_center"
+    _check_image_ids(
+        args.pred, args.gt, [e.image_id for e in entries], list(gt_by_id)
+    )
     images_out = []
     for entry in entries:
-        if entry.image_id not in gt_by_id:
-            raise ValidationError(f"image {entry.image_id} missing from ground truth")
         stack = entry.load(taxonomy)
         gt = gt_by_id[entry.image_id]
         queries = _thing_queries(stack)
@@ -378,6 +387,11 @@ def _cmd_assign(args) -> int:
             if seg.category_id in stuff:
                 continue
             mask = gt.ids == seg.instance_id
+            if not mask.any():
+                raise ValidationError(
+                    f"{args.gt}: image {entry.image_id} thing instance id "
+                    f"{seg.instance_id} has no pixels"
+                )
             targets.append(
                 MatchTarget(
                     category_index=columns[seg.category_id],

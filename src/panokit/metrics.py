@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .types import CategorySpec, PanopticMap, ValidationError, thing_ids
+from .types import CategorySpec, PanopticMap, ValidationError, _pair_counts, thing_ids
 
 
 @dataclass
@@ -102,62 +100,53 @@ class PqReport:
         }
 
 
-def _areas(ids: np.ndarray) -> dict[int, int]:
-    uniq, counts = np.unique(ids, return_counts=True)
-    return {int(i): int(c) for i, c in zip(uniq, counts) if i != 0}
-
-
-def _overlaps(
-    pred: PanopticMap, gt: PanopticMap
-) -> tuple[dict[int, int], dict[int, int], dict[tuple[int, int], int], dict[int, int]]:
-    """(gt areas, pred areas, pairwise intersections, pred-on-gt-void counts)."""
-    keys = gt.ids.astype(np.uint64) << np.uint64(32)
-    keys |= pred.ids.astype(np.uint64)
-    uniq, counts = np.unique(keys, return_counts=True)
-    gids = (uniq >> np.uint64(32)).astype(np.int64)
-    pids = (uniq & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    inter: dict[tuple[int, int], int] = {}
-    void_overlap: dict[int, int] = {}
-    for gid, pid, count in zip(gids.tolist(), pids.tolist(), counts.tolist()):
-        if gid == 0:
-            if pid != 0:
-                void_overlap[pid] = void_overlap.get(pid, 0) + count
-        elif pid != 0:
-            inter[(gid, pid)] = count
-    return _areas(gt.ids), _areas(pred.ids), inter, void_overlap
-
-
 def _matches(
     pred: PanopticMap, gt: PanopticMap
 ) -> tuple[
     dict[int, int],
     dict[int, int],
-    list[tuple[int, int, float]],
+    dict[int, tuple[int, float]],
     dict[int, int],
 ]:
-    """All same-category candidate pairs with their void-excluded IoU."""
+    """(gt areas, pred areas, matches, pred-on-gt-void counts), all read off
+    one joint (gt id, pred id) histogram from types._pair_counts; areas are
+    keyed in ascending id order. matches maps each matched pred id to
+    (gt id, IoU) under the one rule: same category and void-excluded
+    IoU > 0.5."""
     if pred.sem.shape != gt.sem.shape:
         raise ValidationError(
             f"size mismatch: pred {pred.sem.shape} vs gt {gt.sem.shape}"
         )
     gt_cat = {s.instance_id: s.category_id for s in gt.segments}
     pred_cat = {s.instance_id: s.category_id for s in pred.segments}
-    gt_area, pred_area, inter, void_overlap = _overlaps(pred, gt)
+    gids, pids, counts = _pair_counts(gt.ids, pred.ids)
+    pairs = list(zip(gids.tolist(), pids.tolist(), counts.tolist()))
+    gt_area: dict[int, int] = {}
+    pred_area: dict[int, int] = {}
+    void_overlap: dict[int, int] = {}
+    for gid, pid, count in pairs:
+        if gid:
+            gt_area[gid] = gt_area.get(gid, 0) + count
+        if pid:
+            pred_area[pid] = pred_area.get(pid, 0) + count
+            if not gid:
+                void_overlap[pid] = count
+    pred_area = dict(sorted(pred_area.items()))  # pairs list pred ids by gt id
     for side, areas, cats in (("gt", gt_area, gt_cat), ("pred", pred_area, pred_cat)):
         for inst in areas:
             if inst not in cats:
                 raise ValidationError(
                     f"{side} instance id {inst} has no segment record"
                 )
-    candidates = []
-    for (gid, pid), count in inter.items():
-        if gt_cat[gid] != pred_cat[pid]:
+    matches: dict[int, tuple[int, float]] = {}
+    for gid, pid, count in pairs:
+        if not (gid and pid) or gt_cat[gid] != pred_cat[pid]:
             continue
         union = gt_area[gid] + pred_area[pid] - count - void_overlap.get(pid, 0)
         iou = count / union
         if iou > 0.5:
-            candidates.append((gid, pid, iou))
-    return gt_area, pred_area, candidates, void_overlap
+            matches[pid] = (gid, iou)
+    return gt_area, pred_area, matches, void_overlap
 
 
 def pq(
@@ -174,23 +163,18 @@ def pq(
     """
     gt_cat = {s.instance_id: s.category_id for s in gt.segments}
     pred_cat = {s.instance_id: s.category_id for s in pred.segments}
-    gt_area, pred_area, candidates, void_overlap = _matches(pred, gt)
+    gt_area, pred_area, matches, void_overlap = _matches(pred, gt)
     report = PqReport()
-    matched_gt: set[int] = set()
-    matched_pred: set[int] = set()
-    for gid, pid, iou in candidates:
-        # IoU > 0.5 makes the match unique; anything else is a bug
-        assert gid not in matched_gt and pid not in matched_pred
+    for gid, iou in matches.values():
         counts = report.per_category.setdefault(gt_cat[gid], CategoryCounts())
         counts.tp += 1
         counts.iou_sum += iou
-        matched_gt.add(gid)
-        matched_pred.add(pid)
+    matched_gt = {gid for gid, _ in matches.values()}
     for gid in gt_area:
         if gid not in matched_gt:
             report.per_category.setdefault(gt_cat[gid], CategoryCounts()).fn += 1
     for pid, area in pred_area.items():
-        if pid in matched_pred:
+        if pid in matches:
             continue
         if void_forgive and void_overlap.get(pid, 0) / area > 0.5:
             continue
@@ -243,9 +227,9 @@ def query_stats(
     """Thing-preference and precision diagnostics per source query.
 
     A predicted segment is a true positive when a same-category ground-truth
-    segment overlaps it with IoU > 0.5; matching is one-to-one greedy by
-    descending IoU, and the IoU uses the same void-excluded denominator as
-    pq. Every predicted segment must carry source_query.
+    segment overlaps it with IoU > 0.5, which is pq's match: same category,
+    void-excluded IoU, unique by construction. Every predicted segment must
+    carry source_query.
     """
     things = thing_ids(taxonomy)
     for seg in pred.segments:
@@ -253,19 +237,11 @@ def query_stats(
             raise ValidationError(
                 f"segment {seg.instance_id} is missing its source_query"
             )
-    _, _, candidates, _ = _matches(pred, gt)
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
-    matched_gt: set[int] = set()
-    matched_pred: set[int] = set()
-    for gid, pid, _ in candidates:
-        if gid in matched_gt or pid in matched_pred:
-            continue
-        matched_gt.add(gid)
-        matched_pred.add(pid)
+    _, _, matches, _ = _matches(pred, gt)
     stats = QueryStats()
     for seg in pred.segments:
         counts = stats.per_query.setdefault(seg.source_query, QueryCounts())
-        hit = seg.instance_id in matched_pred
+        hit = seg.instance_id in matches
         if seg.category_id in things:
             counts.n_things += 1
             if hit:

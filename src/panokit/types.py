@@ -217,7 +217,7 @@ class PanopticMap:
 
     def validate(self) -> "PanopticMap":
         """Check void coupling, ids covered by segments, and one category per
-        id; the last check is one sort of combined (id, category) keys."""
+        id; the last check reads the (id, category) pairs of _pair_counts."""
         if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
             raise ValidationError(
                 f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"
@@ -231,27 +231,44 @@ class PanopticMap:
             if seg.instance_id in by_id:
                 raise ValidationError(f"instance id {seg.instance_id} listed twice")
             by_id[seg.instance_id] = seg.category_id
-        # the distinct (id, category) pairs as int64 keys sorted by id; a sort
-        # plus a boundary mask, since np.unique's hash path is ~5x slower here
-        keys = ((self.ids.astype(np.int64) << 32) | self.sem.view(np.uint32)).ravel()
-        keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        key_cats = (keys & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
-        present, first = np.unique(keys >> 32, return_index=True)
-        ends = [*first[1:].tolist(), keys.size]
+        pair_ids, pair_cats, _ = _pair_counts(self.ids, self.sem)
+        present, first = np.unique(pair_ids, return_index=True)
+        ends = [*first[1:].tolist(), pair_ids.size]
         for inst, lo, hi in zip(present.tolist(), first.tolist(), ends):
             if inst == VOID:
                 continue
             cat = by_id.get(inst)
             if cat is None:
                 raise ValidationError(f"instance id {inst} has no segment record")
-            cats = np.sort(key_cats[lo:hi])  # keys order categories unsigned
+            cats = np.sort(pair_cats[lo:hi])  # pairs order categories unsigned
             if cats.size != 1 or int(cats[0]) != cat:
                 raise ValidationError(
                     f"instance id {inst} spans categories {cats.tolist()}, "
                     f"segment record says {cat}"
                 )
         return self
+
+
+def _pair_counts(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (a, b) pixel pairs of two equal-shape int32 rasters and
+    their pixel counts, as three 1-d arrays ordered by a, then by b read as
+    unsigned. One sort of int64 keys plus a boundary mask, since np.unique's
+    hash path is ~2x slower on these keys."""
+    keys = ((a.astype(np.int64) << 32) | b.view(np.uint32)).ravel()
+    keys.sort()
+    starts = np.empty(keys.size, bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
+    return (
+        (keys >> 32).astype(np.int32),
+        (keys & 0xFFFFFFFF).astype(np.uint32).view(np.int32),
+        counts,
+    )
 
 
 def token_counts(height: int, width: int) -> tuple[int, int, int]:

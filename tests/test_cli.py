@@ -6,12 +6,15 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from panokit.cli import build_parser, main
-from panokit.manifest import read_panoptic_set, read_stack_manifest
+from panokit.manifest import read_panoptic_set, read_stack_manifest, write_panoptic_set
 from panokit.pst import read_pst, write_pst
 from panokit import (
+    DEFAULT_TAXONOMY,
     LossWeights,
     MatchQuery,
     MatchTarget,
+    PanopticMap,
+    Segment,
     bbox_of,
     mass_center,
     matching_cost,
@@ -203,6 +206,59 @@ def test_assign_matches_scalar_rebuilt_optimum(tmp_path):
         assert len(targets) == 12
         assert image["pairs"] == want
         assert image["total_cost"] == pytest.approx(costs[r, c].sum(), rel=1e-9)
+
+
+def test_assign_gt_thing_without_pixels_names_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "9", "--images", "1", "--out", str(data)])
+    taxonomy, [(image_id, gt)] = read_panoptic_set(data / "gt")
+    bare = PanopticMap(gt.sem, gt.ids, (*gt.segments, Segment(99, 1)))
+    write_panoptic_set(tmp_path / "gt", taxonomy, [(image_id, bare)])
+    capsys.readouterr()
+    code = main(
+        [
+            "assign", "--pred", str(data / "manifest.json"),
+            "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "a.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "gt") in err
+    assert "image 0000 thing instance id 99 has no pixels" in err
+
+
+def test_assign_gt_image_without_prediction_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "9", "--images", "2", "--out", str(data)])
+    taxonomy, items = read_panoptic_set(data / "gt")
+    write_panoptic_set(tmp_path / "gt", taxonomy, [*items, ("0009", items[0][1])])
+    capsys.readouterr()
+    code = main(
+        [
+            "assign", "--pred", str(data / "manifest.json"),
+            "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "a.json"),
+        ]
+    )
+    assert code == 2
+    assert "(missing from pred: ['0009'], extra in pred: [])" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_eval_of_zero_pixel_maps_reports_no_categories(tmp_path, capsys):
+    empty = PanopticMap(np.zeros((0, 4)), np.zeros((0, 4)), ())
+    write_panoptic_set(tmp_path / "set", DEFAULT_TAXONOMY, [("0000", empty)])
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "eval", "--pred", str(tmp_path / "set"),
+            "--gt", str(tmp_path / "set"), "--out", str(out),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["images"] == 1
+    assert report["aggregates"]["categories"] == 0
+    assert report["per_category"] == []
 
 
 def test_fuse_round_trip(tmp_path):

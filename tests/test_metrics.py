@@ -5,6 +5,7 @@ from panokit import (
     DEFAULT_TAXONOMY,
     PanopticMap,
     PqReport,
+    Segment,
     ValidationError,
     generate_scene,
     SceneParams,
@@ -210,6 +211,138 @@ def test_query_stats_missing_segment_record_rejected():
     gt = make_map(bare.sem, bare.ids)
     with pytest.raises(ValidationError, match="pred instance id 5"):
         query_stats(bare, gt, DEFAULT_TAXONOMY)
+
+
+def test_missing_records_name_the_lowest_id():
+    # the pair histogram lists pred 55 (on gt 1) before pred 47 (on gt 2)
+    sem = np.zeros((4, 4), np.int32)
+    sem[:2] = 1
+    gt_ids = np.zeros((4, 4), np.int32)
+    gt_ids[0], gt_ids[1] = 1, 2
+    pred_ids = np.zeros((4, 4), np.int32)
+    pred_ids[0], pred_ids[1] = 55, 47
+    gt = PanopticMap(sem, gt_ids, (Segment(2, 1), Segment(1, 1)))
+    pred = PanopticMap(sem, pred_ids, ())
+    with pytest.raises(ValidationError, match="pred instance id 47 has"):
+        pq(pred, gt, DEFAULT_TAXONOMY)
+    with pytest.raises(ValidationError, match="gt instance id 1 has"):
+        pq(pred, PanopticMap(sem, gt_ids, ()), DEFAULT_TAXONOMY)
+
+
+def _random_map_pair(rng, size=12):
+    """A gt map and a pred map with shuffled non-contiguous ids, records in
+    arbitrary order and one record without pixels. Half the preds are noisy
+    relabeled copies of the gt, so many pairs match."""
+    high = 60 if rng.random() < 0.5 else 2**31 - 1
+
+    def fresh_ids(n):
+        return rng.choice(high - 1, n, replace=False).astype(np.int64) + 1
+
+    n = int(rng.integers(1, 7))
+    blocks = rng.integers(0, n + 1, (size // 3, size // 3))
+    label = np.kron(blocks, np.ones((3, 3), np.int64))
+    noise = rng.random(label.shape) < 0.1
+    label = np.where(noise, rng.integers(0, n + 1, label.shape), label)
+    if rng.random() < 0.5:
+        pred_label = np.where(
+            rng.random(label.shape) < rng.random() * 0.4,
+            rng.integers(0, n + 2, label.shape),
+            label,
+        )
+    else:
+        pred_label = rng.integers(0, n + 2, (size // 3, size // 3))
+        pred_label = np.kron(pred_label, np.ones((3, 3), np.int64))
+    maps = []
+    for lab, k in ((label, n), (pred_label, n + 1)):
+        ids = np.concatenate(([0], fresh_ids(k + 1)))  # one id never painted
+        cats = np.concatenate(([0], rng.integers(1, 9, k + 1)))
+        if maps:  # pred categories mostly follow the gt label they copy
+            keep = rng.random(k + 1) < 0.8
+            cats[1:n + 1] = np.where(keep[:n], maps[0][1][1:n + 1], cats[1:n + 1])
+        segments = [
+            Segment(int(i), int(c), source_query=int(rng.integers(0, 4)))
+            for i, c in zip(ids[1:], cats[1:])
+        ]
+        rng.shuffle(segments)
+        maps.append((PanopticMap(cats[lab], ids[lab], segments), cats))
+    return maps[1][0], maps[0][0]
+
+
+def _naive_matches(pred, gt):
+    """Matched (gt id, pred id) -> IoU, from one boolean mask per pair."""
+    void = gt.ids == 0
+    matches = {}
+    for g in gt.segments:
+        g_mask = gt.ids == g.instance_id
+        for p in pred.segments:
+            p_mask = pred.ids == p.instance_id
+            if p.category_id != g.category_id or not (g_mask & p_mask).any():
+                continue
+            inter = np.count_nonzero(g_mask & p_mask)
+            union = np.count_nonzero(g_mask | (p_mask & ~void))
+            if inter / union > 0.5:
+                matches[g.instance_id, p.instance_id] = inter / union
+    return matches
+
+
+def _naive_pq(pred, gt, void_forgive):
+    matches = _naive_matches(pred, gt)
+    counts = {}
+
+    def bump(cat, field, by=1):
+        row = counts.setdefault(cat, {"tp": 0, "fp": 0, "fn": 0, "iou_sum": 0.0})
+        row[field] += by
+
+    for g in gt.segments:
+        hits = [iou for (gid, _), iou in matches.items() if gid == g.instance_id]
+        if hits:
+            bump(g.category_id, "tp")
+            bump(g.category_id, "iou_sum", hits[0])
+        elif (gt.ids == g.instance_id).any():
+            bump(g.category_id, "fn")
+    for p in pred.segments:
+        p_mask = pred.ids == p.instance_id
+        if any(pid == p.instance_id for _, pid in matches) or not p_mask.any():
+            continue
+        on_void = np.count_nonzero(p_mask & (gt.ids == 0))
+        if void_forgive and on_void / np.count_nonzero(p_mask) > 0.5:
+            continue
+        bump(p.category_id, "fp")
+    return counts
+
+
+def _naive_query_stats(pred, gt):
+    matched = {pid for _, pid in _naive_matches(pred, gt)}
+    things = {c.id for c in DEFAULT_TAXONOMY if c.is_thing}
+    out = {}
+    for p in pred.segments:
+        row = out.setdefault(p.source_query, {
+            "n_things": 0, "n_stuff": 0, "tp_things": 0,
+            "fp_things": 0, "tp_stuff": 0, "fp_stuff": 0,
+        })
+        kind = "things" if p.category_id in things else "stuff"
+        row[f"n_{kind}"] += 1
+        row[f"{'tp' if p.instance_id in matched else 'fp'}_{kind}"] += 1
+    return out
+
+
+@pytest.mark.parametrize("seed", range(320))
+def test_pq_and_query_stats_match_naive_reference(seed):
+    pred, gt = _random_map_pair(np.random.default_rng(seed))
+    for void_forgive in (True, False):
+        report = pq(pred, gt, DEFAULT_TAXONOMY, void_forgive)
+        expected = _naive_pq(pred, gt, void_forgive)
+        assert report.per_category.keys() == expected.keys()
+        for cat, counts in report.per_category.items():
+            want = expected[cat]
+            assert (counts.tp, counts.fp, counts.fn) == (
+                want["tp"], want["fp"], want["fn"]
+            )
+            assert counts.iou_sum == pytest.approx(want["iou_sum"], rel=1e-12)
+    stats = query_stats(pred, gt, DEFAULT_TAXONOMY)
+    assert {q: vars(c) for q, c in stats.per_query.items()} == _naive_query_stats(
+        pred, gt
+    )
 
 
 def test_decile_table_layout_and_totals():

@@ -17,7 +17,7 @@ from panokit import (
     token_counts,
     validate_stack,
 )
-from panokit.types import taxonomy_columns
+from panokit.types import _pair_counts, taxonomy_columns
 
 from conftest import make_stack
 
@@ -169,6 +169,45 @@ def test_panoptic_map_reports_lowest_failing_id():
         PanopticMap(sem, ids, (Segment(5, 1),)).validate()
     with pytest.raises(ValidationError, match=r"instance id 5 spans categories \[1, 3\]"):
         PanopticMap(sem, ids, (Segment(2, 2), Segment(5, 1))).validate()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (0, 0)], ids=["0x4", "0x0"])
+def test_empty_panoptic_map_validates(shape):
+    # every check is vacuous on a map without pixels
+    empty = PanopticMap(np.zeros(shape), np.zeros(shape), ())
+    assert empty.validate() is empty
+
+
+@pytest.mark.parametrize(
+    "shape, transpose",
+    [
+        ((7, 9), False),
+        ((9, 7), True),
+        ((1, 1), False),
+        ((0, 0), False),
+        ((0, 5), False),
+    ],
+    ids=["7x9", "9x7-transposed", "1x1", "0x0", "0x5"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_counts_matches_unique_pairs(shape, transpose, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.choice(np.array([-2**31, -7, -1, 0, 1, 3, 2**31 - 1], np.int32), shape)
+    # negative b values sort after positive ones in the kernel's unsigned order
+    b = rng.choice(np.array([-2**31, -5, -1, 0, 2, 2**31 - 1], np.int32), shape)
+    if transpose:
+        a, b = a.T, b.T
+    got_a, got_b, got_counts = _pair_counts(a, b)
+    pairs, counts = np.unique(
+        np.stack([a.ravel(), b.ravel()], axis=1), axis=0, return_counts=True
+    )
+    pairs = pairs.reshape(-1, 2)
+    order = np.lexsort((pairs[:, 1].view(np.uint32), pairs[:, 0]))
+    assert got_a.dtype == got_b.dtype == np.int32
+    np.testing.assert_array_equal(got_a, pairs[order, 0])
+    np.testing.assert_array_equal(got_b, pairs[order, 1])
+    np.testing.assert_array_equal(got_counts, counts[order])
+    assert got_counts.sum() == a.size
 
 
 def test_token_counts_32():
