@@ -12,7 +12,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .types import PanopticMap, CategorySpec, ValidationError, thing_ids
+from .types import (
+    CategorySpec,
+    PanopticMap,
+    ValidationError,
+    check_nonnegative,
+    thing_ids,
+)
 
 _LOG_FLOOR = 1e-12
 
@@ -27,8 +33,8 @@ class LossWeights:
     layers: int = 6
 
     def __post_init__(self) -> None:
-        if min(self.lambda_cls, self.lambda_seg, self.lambda_det) < 0:
-            raise ValidationError("loss weights must be nonnegative")
+        for name in ("lambda_cls", "lambda_seg", "lambda_det"):
+            check_nonnegative(f"loss weight {name}", getattr(self, name))
         if self.layers < 1:
             raise ValidationError(f"layers must be >= 1, got {self.layers}")
 

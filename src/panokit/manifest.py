@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +65,16 @@ def _publish_index(path: Path, payload: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _duplicate_id(image_ids: Sequence[str]) -> Optional[str]:
+    """The first image id that repeats an earlier one, or None."""
+    seen: set[str] = set()
+    for image_id in image_ids:
+        if image_id in seen:
+            return image_id
+        seen.add(image_id)
+    return None
+
+
 def save_taxonomy(path: PathLike, taxonomy: Sequence[CategorySpec]) -> None:
     taxonomy_columns(taxonomy)  # id uniqueness
     _dump_json(
@@ -109,13 +119,18 @@ class StackEntry:
         probs = read_pst(self.probs_path)
         if masks.ndim != 3:
             raise FormatError(f"{self.masks_path}: expected a (N, H, W) tensor")
-        if probs.ndim != 2 or probs.shape[0] != masks.shape[0]:
+        try:
+            if probs.ndim != 2 or probs.shape[0] != masks.shape[0]:
+                raise ValidationError(
+                    f"masks carry {masks.shape[0]} entries, "
+                    f"class_probs file has shape {probs.shape}"
+                )
+            return validate_stack(MaskStack(masks, probs, self.provenance), taxonomy)
+        except ValidationError as exc:
             raise ValidationError(
-                f"image {self.image_id}: masks carry {masks.shape[0]} entries, "
-                f"class_probs file has shape {probs.shape}"
-            )
-        stack = MaskStack(masks, probs, self.provenance)
-        return validate_stack(stack, taxonomy)
+                f"{self.masks_path}, {self.probs_path.name}: "
+                f"image {self.image_id}: {exc}"
+            ) from exc
 
 
 def write_stack_set(
@@ -125,6 +140,9 @@ def write_stack_set(
 ) -> Path:
     """Write taxonomy, per-image tensors, and manifest.json last; returns the
     manifest path. An interrupted rewrite leaves no manifest."""
+    duplicate = _duplicate_id([image_id for image_id, _ in items])
+    if duplicate is not None:  # its tensors would overwrite the first's
+        raise ValidationError(f"image id {duplicate!r} appears twice in the set")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.json"
@@ -190,6 +208,9 @@ def read_stack_manifest(
             )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed image entry ({exc})") from exc
+    duplicate = _duplicate_id([e.image_id for e in entries])
+    if duplicate is not None:
+        raise FormatError(f"{path}: image id {duplicate!r} listed twice")
     return taxonomy, entries
 
 
@@ -200,6 +221,9 @@ def write_panoptic_set(
 ) -> Path:
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
+    duplicate = _duplicate_id([image_id for image_id, _ in items])
+    if duplicate is not None:  # its tensors would overwrite the first's
+        raise ValidationError(f"image id {duplicate!r} appears twice in the set")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = out / "panoptic.json"
@@ -250,6 +274,9 @@ def read_panoptic_set(
     taxonomy = load_taxonomy(base / data["taxonomy"])
     items = []
     try:
+        duplicate = _duplicate_id([str(image["id"]) for image in data["images"]])
+        if duplicate is not None:
+            raise FormatError(f"{index}: image id {duplicate!r} listed twice")
         for image in data["images"]:
             for name in (image["sem"], image["ids"]):
                 if not (base / name).exists():
@@ -269,9 +296,13 @@ def read_panoptic_set(
                 )
                 for s in image["segments"]
             )
-            pmap = PanopticMap(
-                sem.astype(np.int32), ids.astype(np.int32), segments
-            ).validate()
+            pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
+            try:
+                pmap.validate()
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"{base / image['ids']}: image {image['id']}: {exc}"
+                ) from exc
             items.append((str(image["id"]), pmap))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{index}: malformed image entry ({exc})") from exc

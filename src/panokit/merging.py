@@ -2,7 +2,12 @@
 
 mask_wise_merge paints masks in descending confidence order and is the
 primary strategy; pixel_wise_argmax (plain and probability-weighted) and
-heuristic_merge are the baselines it is compared against.
+heuristic_merge are the baselines it is compared against. All of them build
+one canvas, an int32 ids raster (0 = void) and its segment records, from two
+phases: _paint (score order, t_cnf, t_keep) and _fill (per-pixel first-max
+labelling, min_area). mask_wise_merge paints, pixel_wise_argmax fills, and
+heuristic_merge paints things, then fills the unpainted pixels with stuff.
+sem is derived from ids and the segment records once, at the end.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .types import (
     MaskStack,
     PanopticMap,
     Segment,
+    VOID,
     ValidationError,
     binarize,
     stuff_ids,
@@ -49,22 +55,28 @@ class MergeParams:
             raise ValidationError(f"min_area must be >= 0, got {self.min_area}")
 
 
+def _new_id(segments: list[Segment], stack: MaskStack, i: int, cats, scores) -> int:
+    """Record mask i as the next Segment and return its instance id: ids are
+    1-based, in the order segments are made."""
+    query = stack.provenance[i].query_index
+    segments.append(Segment(len(segments) + 1, int(cats[i]), query, float(scores[i])))
+    return len(segments)
+
+
 def _paint(
     stack: MaskStack,
     scores: np.ndarray,
     cats: np.ndarray,
-    subset: Sequence[int],
+    rows: Sequence[int],
     params: MergeParams,
-    sem: np.ndarray,
     ids: np.ndarray,
-    void: np.ndarray,
     segments: list[Segment],
 ) -> None:
-    """Paint subset onto (sem, ids, void) in place by mask_wise_merge's rules,
-    in descending score order; ties go to (category id, query index) ascending.
-    Each painted mask appends a Segment with instance id len(segments) + 1."""
+    """The paint phase: paint rows in place onto the unpainted pixels of ids,
+    in descending score order, ties by (category id, query index) ascending,
+    skipping masks below t_cnf or whose visible fraction is below t_keep."""
     order = sorted(
-        subset, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
+        rows, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
     )
     for i in order:
         if scores[i] < params.t_cnf:
@@ -74,22 +86,11 @@ def _paint(
         if area == 0:
             # no paintable pixels; also keeps the kept-fraction well-defined
             continue
-        visible = cover & void
+        visible = cover & (ids == VOID)
         visible_area = int(visible.sum())
         if visible_area == 0 or visible_area / area < params.t_keep:
             continue
-        instance_id = len(segments) + 1
-        sem[visible] = cats[i]
-        ids[visible] = instance_id
-        void[visible] = False
-        segments.append(
-            Segment(
-                instance_id=instance_id,
-                category_id=int(cats[i]),
-                source_query=stack.provenance[i].query_index,
-                score=float(scores[i]),
-            )
-        )
+        ids[visible] = _new_id(segments, stack, i, cats, scores)
 
 
 def _first_max(
@@ -120,6 +121,49 @@ def _first_max(
     return winners
 
 
+def _fill(
+    stack: MaskStack,
+    scores: np.ndarray,
+    cats: np.ndarray,
+    rows: Sequence[int],
+    weights: Optional[np.ndarray],
+    min_area: int,
+    segments: list[Segment],
+    ids: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The fill phase: label each pixel with its _first_max row. Given a
+    painted ids, claim only its unpainted pixels, in place. Rows claiming
+    fewer than max(min_area, 1) pixels are voided; the rest get ids in row
+    order. Returns the ids raster."""
+    winners = _first_max(stack.masks, rows, weights)
+    if ids is not None:
+        unpainted = ids == VOID
+        winners = winners[unpainted]
+    areas = np.bincount(winners.ravel(), minlength=len(rows))
+    id_of = np.zeros(len(rows), np.int32)
+    for k in np.flatnonzero(areas >= max(min_area, 1)):
+        id_of[k] = _new_id(segments, stack, rows[k], cats, scores)
+    if ids is None:
+        return id_of[winners]
+    ids[unpainted] = id_of[winners]
+    return ids
+
+
+def _finish(
+    ids: np.ndarray,
+    segments: list[Segment],
+    taxonomy: Sequence[CategorySpec],
+    merge_stuff: bool,
+) -> PanopticMap:
+    """Derive sem from ids and the segment records, then merge same-category
+    stuff when asked."""
+    cat_of = np.array([VOID, *(s.category_id for s in segments)], np.int32)
+    out = PanopticMap(cat_of[ids], ids, tuple(segments))
+    if merge_stuff:
+        out = merge_same_category_stuff(out, taxonomy)
+    return out
+
+
 def mask_wise_merge(
     stack: MaskStack,
     taxonomy: Sequence[CategorySpec],
@@ -130,20 +174,15 @@ def mask_wise_merge(
     For each mask the visible region is its binarized footprint intersected
     with still-void pixels. A mask is skipped when its confidence is below
     t_cnf or when the visible fraction of its binarized area is below
-    t_keep; otherwise its category and a fresh 1-based instance id are
-    painted. Empty output is legal.
+    t_keep; otherwise the region gets a fresh 1-based instance id. Empty
+    output is legal.
     """
     params = params or MergeParams()
     cats, _, confs = stack_scores(stack, taxonomy, params.score)
-    sem = np.zeros((stack.height, stack.width), np.int32)
     ids = np.zeros((stack.height, stack.width), np.int32)
-    void = np.ones((stack.height, stack.width), bool)
     segments: list[Segment] = []
-    _paint(stack, confs, cats, range(stack.n), params, sem, ids, void, segments)
-    out = PanopticMap(sem, ids, tuple(segments))
-    if params.merge_same_stuff:
-        out = merge_same_category_stuff(out, taxonomy)
-    return out
+    _paint(stack, confs, cats, range(stack.n), params, ids, segments)
+    return _finish(ids, segments, taxonomy, params.merge_same_stuff)
 
 
 def pixel_wise_argmax(
@@ -163,30 +202,10 @@ def pixel_wise_argmax(
     if stack.n == 0:
         raise ValidationError("pixel_wise_argmax needs at least one mask")
     cats, probs = predicted_labels(stack, taxonomy)
-    winners = _first_max(stack.masks, range(stack.n), probs if weighted else None)
-    areas = np.bincount(winners.ravel(), minlength=stack.n)
-    id_lut = np.zeros(stack.n, np.int32)
-    cat_lut = np.zeros(stack.n, np.int32)
     segments: list[Segment] = []
-    for i in range(stack.n):
-        if areas[i] == 0 or areas[i] < min_area:
-            continue
-        id_lut[i] = len(segments) + 1
-        cat_lut[i] = cats[i]
-        segments.append(
-            Segment(
-                instance_id=int(id_lut[i]),
-                category_id=int(cats[i]),
-                source_query=stack.provenance[i].query_index,
-                score=float(probs[i]),
-            )
-        )
-    ids = id_lut[winners]
-    sem = cat_lut[winners]
-    out = PanopticMap(sem, ids, tuple(segments))
-    if merge_stuff:
-        out = merge_same_category_stuff(out, taxonomy)
-    return out
+    weights = probs if weighted else None
+    ids = _fill(stack, probs, cats, range(stack.n), weights, min_area, segments)
+    return _finish(ids, segments, taxonomy, merge_stuff)
 
 
 def heuristic_merge(
@@ -204,35 +223,14 @@ def heuristic_merge(
     """
     params = params or MergeParams()
     cats, probs = predicted_labels(stack, taxonomy)
-    sem = np.zeros((stack.height, stack.width), np.int32)
     ids = np.zeros((stack.height, stack.width), np.int32)
-    void = np.ones((stack.height, stack.width), bool)
     segments: list[Segment] = []
     thing_idx = [i for i, p in enumerate(stack.provenance) if p.is_thing]
-    _paint(stack, probs, cats, thing_idx, params, sem, ids, void, segments)
+    _paint(stack, probs, cats, thing_idx, params, ids, segments)
     stuff_idx = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
     if stuff_idx:
-        winners = _first_max(stack.masks, stuff_idx)
-        for pos, i in enumerate(stuff_idx):
-            claim = void & (winners == pos)
-            area = int(claim.sum())
-            if area == 0 or area < params.min_area:
-                continue
-            instance_id = len(segments) + 1
-            sem[claim] = cats[i]
-            ids[claim] = instance_id
-            segments.append(
-                Segment(
-                    instance_id=instance_id,
-                    category_id=int(cats[i]),
-                    source_query=stack.provenance[i].query_index,
-                    score=float(probs[i]),
-                )
-            )
-    out = PanopticMap(sem, ids, tuple(segments))
-    if params.merge_same_stuff:
-        out = merge_same_category_stuff(out, taxonomy)
-    return out
+        _fill(stack, probs, cats, stuff_idx, None, params.min_area, segments, ids)
+    return _finish(ids, segments, taxonomy, params.merge_same_stuff)
 
 
 def merge_same_category_stuff(

@@ -13,7 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import CategorySpec, MaskStack, ValidationError, binarize, taxonomy_columns
+from .types import (
+    CategorySpec,
+    MaskStack,
+    ValidationError,
+    binarize,
+    check_nonnegative,
+    taxonomy_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -24,11 +31,8 @@ class ScoreParams:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError(
-                f"score exponents must be nonnegative, got "
-                f"alpha={self.alpha} beta={self.beta}"
-            )
+        check_nonnegative("score exponent alpha", self.alpha)
+        check_nonnegative("score exponent beta", self.beta)
 
 
 def segmentation_quality(mask: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .types import (
     QueryProvenance,
     Segment,
     ValidationError,
+    check_nonnegative,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -106,8 +107,7 @@ class SceneParams:
             raise ValidationError(f"n_things must be >= 0, got {self.n_things}")
         if self.stuff_bands < 1:
             raise ValidationError(f"stuff_bands must be >= 1, got {self.stuff_bands}")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        check_nonnegative("noise_sigma", self.noise_sigma)
         if not 0.0 <= self.overlap_bias <= 1.0:
             raise ValidationError(
                 f"overlap_bias must lie in [0, 1], got {self.overlap_bias}"

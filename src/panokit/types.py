@@ -8,6 +8,7 @@ needs to keep mutating its buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +27,13 @@ class ValidationError(PanokitError, ValueError):
 
 class FormatError(PanokitError, ValueError):
     """A file or byte stream does not conform to its declared format."""
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise a ValidationError naming the field unless value is finite and
+    >= 0; NaN fails every comparison, so a bare `value < 0` would pass it."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

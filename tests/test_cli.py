@@ -99,6 +99,32 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_merge_nonfinite_exponent_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--images", "1", "--out", str(data)])
+    capsys.readouterr()
+    code = main(
+        ["merge", "--in", str(data), "--alpha", "nan", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "alpha must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "panoptic.json").exists()
+
+
+def test_merge_of_duplicate_image_ids_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--images", "2", "--out", str(data)])
+    manifest_path = data / "manifest.json"
+    payload = json.loads(manifest_path.read_text())
+    payload["images"][1]["id"] = "0000"
+    manifest_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["merge", "--in", str(data), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{manifest_path}: image id '0000' listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_pst_magic_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--seed", "1", "--out", str(data)])

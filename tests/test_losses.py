@@ -116,6 +116,13 @@ def test_deep_supervision_layer_count_enforced():
         deep_supervised_loss(((0.1, 0.2),), det_loss=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", ["lambda_cls", "lambda_seg", "lambda_det"])
+def test_loss_weights_must_be_finite_and_nonnegative(name, bad):
+    with pytest.raises(ValidationError, match=f"{name} must be finite.*got {bad}"):
+        LossWeights(**{name: bad})
+
+
 def test_dynamic_lambda_cases():
     assert dynamic_lambda(10, 10) == (0.5, 0.5)
     assert dynamic_lambda(0, 7) == (0.0, 1.0)

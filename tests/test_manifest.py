@@ -7,6 +7,7 @@ import pytest
 from panokit import (
     DEFAULT_TAXONOMY,
     FormatError,
+    MaskStack,
     SceneParams,
     ValidationError,
     generate_scene,
@@ -112,8 +113,42 @@ def test_panoptic_set_validates_maps_on_read(tmp_path):
     payload = json.loads(index.read_text())
     payload["images"][0]["segments"] = []
     index.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"a_ids\.pst: image a: instance id"):
         read_panoptic_set(index)
+
+
+def test_stack_validation_on_load_names_the_file(tmp_path):
+    _, stack = _scene(4)
+    masks = stack.masks.copy()
+    masks[0, 3, 5] = np.nan
+    bad = MaskStack(masks, stack.class_probs, stack.provenance)
+    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("a", bad)])
+    taxonomy, [entry] = read_stack_manifest(tmp_path / "set")
+    with pytest.raises(ValidationError, match=r"a_masks\.pst.*image a: mask values"):
+        entry.load(taxonomy)
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_writers_reject_duplicate_image_ids(tmp_path, kind):
+    gt, stack = _scene(0)
+    out = tmp_path / "set"
+    with pytest.raises(ValidationError, match="image id '0000' appears twice"):
+        if kind == "stack":
+            write_stack_set(out, DEFAULT_TAXONOMY, [("0000", stack), ("0000", stack)])
+        else:
+            write_panoptic_set(out, DEFAULT_TAXONOMY, [("0000", gt), ("0000", gt)])
+    assert not out.exists()  # refused before any tensor was written
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_readers_reject_duplicate_image_ids(tmp_path, kind):
+    out = tmp_path / "set"
+    index = _write_set(kind, out, seed=0)
+    payload = json.loads(index.read_text())
+    payload["images"][1]["id"] = payload["images"][0]["id"]
+    index.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=rf"{index.name}: image id 'a' listed twice"):
+        _read_set(kind, out)
 
 
 def _write_set(kind, out, seed):

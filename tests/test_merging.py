@@ -8,6 +8,7 @@ from panokit import (
     MaskStack,
     MergeParams,
     ScoreParams,
+    Segment,
     ValidationError,
     heuristic_merge,
     mask_wise_merge,
@@ -17,6 +18,7 @@ from panokit import (
 )
 
 from panokit.merging import _first_max
+from panokit.scoring import predicted_labels
 
 from conftest import make_map, make_stack
 
@@ -272,6 +274,78 @@ def test_heuristic_things_match_maskwise_beta_zero():
         assert np.array_equal(ours.sem, ref.sem)
         assert np.array_equal(ours.ids, ref.ids)
         assert ours.segments == ref.segments
+
+
+def _reference_fill(stack, rows, weights, unpainted, min_area, first_id):
+    """Naive fill: np.argmax over the stacked (weighted) rows, claims counted
+    on unpainted pixels only, rows below max(min_area, 1) voided, ids in row
+    order from first_id. Returns the fill's ids and the rows it kept."""
+    winners = _stacked_argmax(stack.masks, rows, weights)
+    ids = np.zeros(winners.shape, np.int32)
+    kept = []
+    for k, r in enumerate(rows):
+        claim = unpainted & (winners == k)
+        if claim.sum() >= max(min_area, 1):
+            ids[claim] = first_id + len(kept)
+            kept.append(r)
+    return ids, kept
+
+
+def _reference_segments(stack, kept, first_id):
+    cats, probs = predicted_labels(stack, DEFAULT_TAXONOMY)
+    queries = [p.query_index for p in stack.provenance]
+    return [
+        Segment(first_id + n, int(cats[r]), queries[r], float(probs[r]))
+        for n, r in enumerate(kept)
+    ]
+
+
+def _reference_sem(stack, ids, segments):
+    sem = np.zeros(ids.shape, np.int32)
+    for seg in segments:
+        sem[ids == seg.instance_id] = seg.category_id
+    return sem
+
+
+def test_fill_phase_matches_naive_reference():
+    beta_zero = MergeParams(score=ScoreParams(beta=0.0))
+    voided = 0
+    for seed in range(300):
+        h, w = (5, 7) if seed % 2 else (8, 8)
+        stack = random_stack(seed, h, w, 2 + seed % 7)
+        _, probs = predicted_labels(stack, DEFAULT_TAXONOMY)
+        stuff = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
+        painted = mask_wise_merge(_things_only(stack), DEFAULT_TAXONOMY, beta_zero)
+        for min_area in (0, 2, 5):
+            for weights in (None, probs):
+                everywhere = np.ones((h, w), bool)
+                ids, kept = _reference_fill(
+                    stack, range(stack.n), weights, everywhere, min_area, 1
+                )
+                segments = _reference_segments(stack, kept, 1)
+                got = pixel_wise_argmax(
+                    stack, DEFAULT_TAXONOMY, weights is not None, min_area, False
+                )
+                assert np.array_equal(got.ids, ids), (seed, min_area)
+                assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
+                assert list(got.segments) == segments
+                voided += stack.n - len(kept)
+            got = heuristic_merge(
+                stack, DEFAULT_TAXONOMY, MergeParams(min_area=min_area)
+            )
+            ids = painted.ids.copy()
+            segments = list(painted.segments)
+            if stuff:
+                first = len(segments) + 1
+                fill, kept = _reference_fill(
+                    stack, stuff, None, painted.ids == 0, min_area, first
+                )
+                ids += fill
+                segments += _reference_segments(stack, kept, first)
+            assert np.array_equal(got.ids, ids), (seed, min_area)
+            assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
+            assert list(got.segments) == segments
+    assert voided > 0
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan])

@@ -64,6 +64,13 @@ def test_negative_exponent_rejected():
         ScoreParams(alpha=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_nonfinite_exponent_rejected(name, bad):
+    with pytest.raises(ValidationError, match=f"{name} must be finite.*got {bad}"):
+        ScoreParams(**{name: bad})
+
+
 @given(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),

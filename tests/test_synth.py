@@ -158,6 +158,12 @@ def test_scene_dims_must_be_multiple_of_32():
         SceneParams(seed=0, height=48, width=64)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_noise_rejected(bad):
+    with pytest.raises(ValidationError, match=f"noise_sigma must be finite.*got {bad}"):
+        SceneParams(seed=0, noise_sigma=bad)
+
+
 def test_oracle_empty_stack():
     stack = random_stack(0, 8, 8, 0)
     out = oracle_merge(stack, DEFAULT_TAXONOMY)
