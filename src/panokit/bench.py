@@ -39,9 +39,9 @@ def bench(
     taxonomy: Sequence[CategorySpec],
     strategies: Sequence[str],
     repetitions: int = 1,
-    params: MergeParams = MergeParams(),
 ) -> dict:
-    """Time each strategy over every image the source yields.
+    """Time each strategy, at the default MergeParams, over every image the
+    source yields.
 
     source is a zero-argument callable returning a fresh iterable per pass,
     so stacks never have to be held in memory all at once.
@@ -50,7 +50,7 @@ def bench(
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not strategies:
         raise ValidationError("no strategies given")
-    runners = [_runner(s, taxonomy, params) for s in strategies]
+    runners = [_runner(s, taxonomy, MergeParams()) for s in strategies]
     totals = [[0.0] * repetitions for _ in strategies]
     counts = [0] * repetitions
     for rep in range(repetitions):

@@ -52,6 +52,7 @@ from .types import (
     PanokitError,
     ValidationError,
     stuff_ids,
+    taxonomy_columns,
     token_counts,
 )
 
@@ -369,7 +370,7 @@ def _cmd_assign(args) -> int:
     taxonomy, entries = read_stack_manifest(args.pred)
     _, gt_items = read_panoptic_set(args.gt)
     gt_by_id = dict(gt_items)
-    columns = {c.id: pos for pos, c in enumerate(taxonomy)}
+    columns = taxonomy_columns(taxonomy)
     stuff = stuff_ids(taxonomy)
     weights = LossWeights(*args.lambdas)
     mode = "box" if args.location_mode == "box" else "mass_center"

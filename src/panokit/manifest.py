@@ -1,9 +1,10 @@
 """File-level plumbing: taxonomy JSON, stack manifests, panoptic directories.
 
 Tensors live in PST1 files; everything human-facing is JSON with a versioned
-"schema" field. A stack manifest lists per-image mask and class-probability
-tensors plus inline provenance; a panoptic directory holds per-image sem
-(uint16) and ids (uint32) tensors plus segment records.
+"schema" field. Both set kinds share one layout, a JSON index with one record
+per image plus tensor files and taxonomy.json beside it: a stack manifest
+lists mask and class-probability tensors plus inline provenance, a panoptic
+directory sem (uint16) and ids (uint32) tensors plus segment records.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -34,16 +35,22 @@ STACK_SCHEMA = "stack-manifest/1"
 PANOPTIC_SCHEMA = "panoptic-dir/1"
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
+
+# what parsing a record with a missing key, a wrong type or a bad value raises
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _load_json(path: Path, schema: str) -> dict:
-    if not path.exists():
-        raise FormatError(f"{path}: file does not exist")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_bytes())
+    except FileNotFoundError as exc:
+        raise FormatError(f"{path}: file does not exist") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or data.get("schema") != schema:
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    if data.get("schema") != schema:
         raise FormatError(
             f"{path}: expected schema {schema!r}, got {data.get('schema')!r}"
         )
@@ -52,17 +59,6 @@ def _load_json(path: Path, schema: str) -> dict:
 
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _publish_index(path: Path, payload: dict) -> None:
-    """Write a set's index to a temp file beside it, then rename it into
-    place, so no reader ever sees a partly written index."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        _dump_json(tmp, payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _duplicate_id(image_ids: Sequence[str]) -> Optional[str]:
@@ -96,10 +92,75 @@ def load_taxonomy(path: PathLike) -> tuple[CategorySpec, ...]:
             CategorySpec(int(c["id"]), str(c["name"]), bool(c["is_thing"]))
             for c in data["categories"]
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed category entry ({exc})") from exc
-    taxonomy_columns(taxonomy)
+        taxonomy_columns(taxonomy)
+    except _MALFORMED as exc:
+        raise FormatError(
+            f"{path}: malformed taxonomy ({type(exc).__name__}: {exc})"
+        ) from exc
     return taxonomy
+
+
+def _write_set(
+    out_dir: PathLike,
+    taxonomy: Sequence[CategorySpec],
+    items: Sequence[tuple[str, T]],
+    index_name: str,
+    schema: str,
+    entry: Callable[[Path, str, T], dict],
+) -> Path:
+    """Remove the old index, write taxonomy.json, let entry(out, image_id,
+    item) write each image's tensors and return its record, then rename the
+    new index into place from a temp file; returns the index path."""
+    duplicate = _duplicate_id([image_id for image_id, _ in items])
+    if duplicate is not None:  # its tensors would overwrite the first's
+        raise ValidationError(f"image id {duplicate!r} appears twice in the set")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    index = out / index_name
+    index.unlink(missing_ok=True)
+    save_taxonomy(out / "taxonomy.json", taxonomy)
+    images = [
+        {"id": image_id, **entry(out, image_id, item)} for image_id, item in items
+    ]
+    tmp = index.with_name(f".{index_name}.tmp")
+    try:
+        _dump_json(
+            tmp, {"schema": schema, "taxonomy": "taxonomy.json", "images": images}
+        )
+        os.replace(tmp, index)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return index
+
+
+def _read_set(
+    path: PathLike,
+    index_name: str,
+    schema: str,
+    parse: Callable[[Path, str, dict], T],
+) -> tuple[tuple[CategorySpec, ...], list[tuple[str, T]]]:
+    """Read a set directory (or its index) as its taxonomy and a list of
+    (image id, parse(base, image_id, record)). parse only converts fields:
+    callers load tensors after this guard, so their errors keep their type."""
+    index = Path(path)
+    if index.is_dir():
+        index = index / index_name
+    data = _load_json(index, schema)
+    base = index.parent
+    try:
+        taxonomy_path = base / data["taxonomy"]
+        records = []
+        for image in data["images"]:
+            image_id = str(image["id"])
+            records.append((image_id, parse(base, image_id, image)))
+    except _MALFORMED as exc:
+        raise FormatError(
+            f"{index}: malformed index ({type(exc).__name__}: {exc})"
+        ) from exc
+    duplicate = _duplicate_id([image_id for image_id, _ in records])
+    if duplicate is not None:
+        raise FormatError(f"{index}: image id {duplicate!r} listed twice")
+    return load_taxonomy(taxonomy_path), records
 
 
 @dataclass(frozen=True)
@@ -112,9 +173,6 @@ class StackEntry:
     provenance: tuple[QueryProvenance, ...]
 
     def load(self, taxonomy: Sequence[CategorySpec]) -> MaskStack:
-        for path in (self.masks_path, self.probs_path):
-            if not path.exists():
-                raise FormatError(f"{path}: referenced file missing")
         masks = read_pst(self.masks_path)
         probs = read_pst(self.probs_path)
         if masks.ndim != 3:
@@ -140,40 +198,26 @@ def write_stack_set(
 ) -> Path:
     """Write taxonomy, per-image tensors, and manifest.json last; returns the
     manifest path. An interrupted rewrite leaves no manifest."""
-    duplicate = _duplicate_id([image_id for image_id, _ in items])
-    if duplicate is not None:  # its tensors would overwrite the first's
-        raise ValidationError(f"image id {duplicate!r} appears twice in the set")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.json"
-    manifest.unlink(missing_ok=True)
-    save_taxonomy(out / "taxonomy.json", taxonomy)
-    images = []
-    for image_id, stack in items:
+
+    def entry(out: Path, image_id: str, stack: MaskStack) -> dict:
         masks_name = f"{image_id}_masks.pst"
         probs_name = f"{image_id}_probs.pst"
         write_pst(out / masks_name, stack.masks.astype(np.float32))
         write_pst(out / probs_name, stack.class_probs.astype(np.float32))
-        images.append(
-            {
-                "id": image_id,
-                "masks": masks_name,
-                "class_probs": probs_name,
-                "provenance": [
-                    {
-                        "query_index": p.query_index,
-                        "is_thing": p.is_thing,
-                        "fixed_category": p.fixed_category,
-                    }
-                    for p in stack.provenance
-                ],
-            }
-        )
-    _publish_index(
-        manifest,
-        {"schema": STACK_SCHEMA, "taxonomy": "taxonomy.json", "images": images},
-    )
-    return manifest
+        return {
+            "masks": masks_name,
+            "class_probs": probs_name,
+            "provenance": [
+                {
+                    "query_index": p.query_index,
+                    "is_thing": p.is_thing,
+                    "fixed_category": p.fixed_category,
+                }
+                for p in stack.provenance
+            ],
+        }
+
+    return _write_set(out_dir, taxonomy, items, "manifest.json", STACK_SCHEMA, entry)
 
 
 def read_stack_manifest(
@@ -181,37 +225,22 @@ def read_stack_manifest(
 ) -> tuple[tuple[CategorySpec, ...], list[StackEntry]]:
     """Read a stack directory (or its manifest.json directly); tensors load
     lazily via StackEntry.load."""
-    path = Path(manifest_path)
-    if path.is_dir():
-        path = path / "manifest.json"
-    data = _load_json(path, STACK_SCHEMA)
-    base = path.parent
-    taxonomy = load_taxonomy(base / data["taxonomy"])
-    entries = []
-    try:
-        for image in data["images"]:
-            provenance = tuple(
-                QueryProvenance(
-                    int(p["query_index"]),
-                    bool(p["is_thing"]),
-                    None if p["fixed_category"] is None else int(p["fixed_category"]),
-                )
-                for p in image["provenance"]
+
+    def parse(base: Path, image_id: str, image: dict) -> StackEntry:
+        provenance = tuple(
+            QueryProvenance(
+                int(p["query_index"]),
+                bool(p["is_thing"]),
+                None if p["fixed_category"] is None else int(p["fixed_category"]),
             )
-            entries.append(
-                StackEntry(
-                    str(image["id"]),
-                    base / image["masks"],
-                    base / image["class_probs"],
-                    provenance,
-                )
-            )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed image entry ({exc})") from exc
-    duplicate = _duplicate_id([e.image_id for e in entries])
-    if duplicate is not None:
-        raise FormatError(f"{path}: image id {duplicate!r} listed twice")
-    return taxonomy, entries
+            for p in image["provenance"]
+        )
+        return StackEntry(
+            image_id, base / image["masks"], base / image["class_probs"], provenance
+        )
+
+    taxonomy, records = _read_set(manifest_path, "manifest.json", STACK_SCHEMA, parse)
+    return taxonomy, [entry for _, entry in records]
 
 
 def write_panoptic_set(
@@ -221,45 +250,33 @@ def write_panoptic_set(
 ) -> Path:
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
-    duplicate = _duplicate_id([image_id for image_id, _ in items])
-    if duplicate is not None:  # its tensors would overwrite the first's
-        raise ValidationError(f"image id {duplicate!r} appears twice in the set")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index = out / "panoptic.json"
-    index.unlink(missing_ok=True)
-    save_taxonomy(out / "taxonomy.json", taxonomy)
-    images = []
-    for image_id, pmap in items:
-        if pmap.sem.max(initial=0) >= 2**16:
-            raise ValidationError(
-                f"image {image_id}: category ids do not fit uint16"
-            )
+
+    def entry(out: Path, image_id: str, pmap: PanopticMap) -> dict:
+        bounds = (("category", pmap.sem, 16), ("instance", pmap.ids, 31))
+        for name, values, bits in bounds:  # the uint16/uint32 casts would wrap
+            if values.min(initial=0) < 0 or values.max(initial=0) >= 1 << bits:
+                raise ValidationError(
+                    f"image {image_id}: {name} ids must lie in [0, 2**{bits})"
+                )
         sem_name = f"{image_id}_sem.pst"
         ids_name = f"{image_id}_ids.pst"
         write_pst(out / sem_name, pmap.sem.astype(np.uint16))
         write_pst(out / ids_name, pmap.ids.astype(np.uint32))
-        images.append(
-            {
-                "id": image_id,
-                "sem": sem_name,
-                "ids": ids_name,
-                "segments": [
-                    {
-                        "instance_id": s.instance_id,
-                        "category_id": s.category_id,
-                        "source_query": s.source_query,
-                        "score": s.score,
-                    }
-                    for s in pmap.segments
-                ],
-            }
-        )
-    _publish_index(
-        index,
-        {"schema": PANOPTIC_SCHEMA, "taxonomy": "taxonomy.json", "images": images},
-    )
-    return index
+        return {
+            "sem": sem_name,
+            "ids": ids_name,
+            "segments": [
+                {
+                    "instance_id": s.instance_id,
+                    "category_id": s.category_id,
+                    "source_query": s.source_query,
+                    "score": s.score,
+                }
+                for s in pmap.segments
+            ],
+        }
+
+    return _write_set(out_dir, taxonomy, items, "panoptic.json", PANOPTIC_SCHEMA, entry)
 
 
 def read_panoptic_set(
@@ -267,43 +284,30 @@ def read_panoptic_set(
 ) -> tuple[tuple[CategorySpec, ...], list[tuple[str, PanopticMap]]]:
     """Read a panoptic directory (or its panoptic.json directly); maps are
     validated on load."""
-    root = Path(path)
-    index = root / "panoptic.json" if root.is_dir() else root
-    data = _load_json(index, PANOPTIC_SCHEMA)
-    base = index.parent
-    taxonomy = load_taxonomy(base / data["taxonomy"])
-    items = []
-    try:
-        duplicate = _duplicate_id([str(image["id"]) for image in data["images"]])
-        if duplicate is not None:
-            raise FormatError(f"{index}: image id {duplicate!r} listed twice")
-        for image in data["images"]:
-            for name in (image["sem"], image["ids"]):
-                if not (base / name).exists():
-                    raise FormatError(f"{base / name}: referenced file missing")
-            sem = read_pst(base / image["sem"])
-            ids = read_pst(base / image["ids"])
-            if ids.max(initial=0) >= 2**31:
-                raise FormatError(
-                    f"{base / image['ids']}: instance ids exceed int32 range"
-                )
-            segments = tuple(
-                Segment(
-                    int(s["instance_id"]),
-                    int(s["category_id"]),
-                    None if s["source_query"] is None else int(s["source_query"]),
-                    None if s["score"] is None else float(s["score"]),
-                )
-                for s in image["segments"]
+
+    def parse(base: Path, image_id: str, image: dict):
+        segments = tuple(
+            Segment(
+                int(s["instance_id"]),
+                int(s["category_id"]),
+                None if s["source_query"] is None else int(s["source_query"]),
+                None if s["score"] is None else float(s["score"]),
             )
-            pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
-            try:
-                pmap.validate()
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"{base / image['ids']}: image {image['id']}: {exc}"
-                ) from exc
-            items.append((str(image["id"]), pmap))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{index}: malformed image entry ({exc})") from exc
+            for s in image["segments"]
+        )
+        return base / image["sem"], base / image["ids"], segments
+
+    taxonomy, records = _read_set(path, "panoptic.json", PANOPTIC_SCHEMA, parse)
+    items = []
+    for image_id, (sem_path, ids_path, segments) in records:
+        sem = read_pst(sem_path)
+        ids = read_pst(ids_path)
+        if ids.max(initial=0) >= 2**31:
+            raise FormatError(f"{ids_path}: instance ids exceed int32 range")
+        pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
+        try:
+            pmap.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"{ids_path}: image {image_id}: {exc}") from exc
+        items.append((image_id, pmap))
     return taxonomy, items

@@ -139,6 +139,89 @@ def test_malformed_pst_magic_is_data_error(tmp_path, capsys):
     assert "0000_masks.pst" in capsys.readouterr().err
 
 
+def _with(payload, keys, value):
+    """payload with the item at the nested keys replaced by value."""
+    *parents, last = keys
+    inner = payload
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return payload
+
+
+# case -> (file to corrupt, edit of its JSON value returning the new value
+# or raw bytes); "index" stands for manifest.json or panoptic.json
+_MALFORMED_ANY_SET = {
+    "no taxonomy key": (
+        "index",
+        lambda p: {"schema": p["schema"], "images": p["images"]},
+    ),
+    "non-string taxonomy": ("index", lambda p: {**p, "taxonomy": 5}),
+    "list index": ("index", lambda p: [p]),
+    "index not utf-8": ("index", lambda p: b'{"schema": "\xff"}'),
+    "non-numeric category id": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 0, "id"], "one"),
+    ),
+    "duplicate category id": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 1, "id"], 1),
+    ),
+}
+_MALFORMED_SETS = {
+    "stack": {
+        **_MALFORMED_ANY_SET,
+        "non-numeric query_index": (
+            "index",
+            lambda p: _with(p, ["images", 0, "provenance", 0, "query_index"], "x"),
+        ),
+        "infinite query_index": (
+            "index",
+            lambda p: _with(
+                p, ["images", 0, "provenance", 0, "query_index"], float("inf")
+            ),
+        ),
+    },
+    "panoptic": {
+        **_MALFORMED_ANY_SET,
+        "non-numeric instance_id": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "instance_id"], "x"),
+        ),
+        "non-numeric score": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "score"], "x"),
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case", [(k, c) for k, cases in _MALFORMED_SETS.items() for c in cases]
+)
+def test_malformed_set_is_data_error_naming_the_file(tmp_path, capsys, kind, case):
+    data = tmp_path / "data"
+    main(["synth", "--h", "32", "--w", "32", "--n", "1", "--out", str(data)])
+    if kind == "stack":
+        root, index = data, "manifest.json"
+        argv = ["merge", "--in", str(root), "--out", str(tmp_path / "o")]
+    else:
+        root, index = data / "gt", "panoptic.json"
+        argv = ["eval", "--pred", str(root), "--gt", str(root)]
+        argv += ["--out", str(tmp_path / "o.json")]
+    name, edit = _MALFORMED_SETS[kind][case]
+    culprit = root / (index if name == "index" else name)
+    edited = edit(json.loads(culprit.read_text()))
+    if not isinstance(edited, bytes):
+        edited = json.dumps(edited).encode()
+    culprit.write_bytes(edited)
+    capsys.readouterr()
+    assert main(argv) == 2  # an exception escaping main would be a traceback
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {culprit}: ")
+    assert "Traceback" not in err
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -8,6 +8,7 @@ from panokit import (
     DEFAULT_TAXONOMY,
     FormatError,
     MaskStack,
+    PanopticMap,
     SceneParams,
     ValidationError,
     generate_scene,
@@ -96,6 +97,14 @@ def test_panoptic_set_accepts_directory_path(tmp_path):
     assert [i for i, _ in items] == ["a"]
 
 
+def test_panoptic_set_missing_tensor_diagnostic(tmp_path):
+    gt, _ = _scene(0)
+    write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", gt)])
+    (tmp_path / "maps" / "a_ids.pst").unlink()
+    with pytest.raises(FormatError, match=r"a_ids\.pst: no such file"):
+        read_panoptic_set(tmp_path / "maps")
+
+
 def test_panoptic_set_rewrites_identically(tmp_path):
     gt, _ = _scene(3)
     index = write_panoptic_set(tmp_path / "m1", DEFAULT_TAXONOMY, [("a", gt)])
@@ -115,6 +124,26 @@ def test_panoptic_set_validates_maps_on_read(tmp_path):
     index.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match=r"a_ids\.pst: image a: instance id"):
         read_panoptic_set(index)
+
+
+@pytest.mark.parametrize(
+    "raster, value, message",
+    [
+        ("sem", -1, r"category ids must lie in \[0, 2\*\*16\)"),
+        ("sem", 2**16, r"category ids must lie in \[0, 2\*\*16\)"),
+        ("ids", -1, r"instance ids must lie in \[0, 2\*\*31\)"),
+    ],
+)
+def test_panoptic_writer_rejects_ids_outside_the_stored_range(
+    tmp_path, raster, value, message
+):
+    gt, _ = _scene(0)
+    rasters = {"sem": gt.sem.copy(), "ids": gt.ids.copy()}
+    rasters[raster][3, 5] = value  # uint16/uint32 casts would wrap it
+    bad = PanopticMap(rasters["sem"], rasters["ids"], gt.segments)
+    with pytest.raises(ValidationError, match=rf"image a: {message}"):
+        write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", bad)])
+    assert not (tmp_path / "maps" / "panoptic.json").exists()
 
 
 def test_stack_validation_on_load_names_the_file(tmp_path):
