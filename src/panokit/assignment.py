@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .losses import _LOG_FLOOR, LossWeights, dice_loss, focal_loss
-from .types import QueryProvenance, ValidationError, binarize
+from .types import QueryProvenance, ValidationError, _extent, binarize
 
 # the focal_loss and dice_loss defaults that matching_cost uses
 _FOCAL_GAMMA = 2.0
@@ -109,24 +109,11 @@ def mass_center(mask: np.ndarray) -> np.ndarray:
     return np.array([(m.sum(axis=1) * ys).sum() / total, (m.sum(axis=0) * xs).sum() / total])
 
 
-def _extent(mask: np.ndarray) -> Optional[tuple[int, int, int, int]]:
-    """(y0, y1, x0, x1) bounds of the nonzero pixels of a 2-d mask, exclusive
-    ends; None when every pixel is zero."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-
-
 def bbox_of(mask: np.ndarray) -> np.ndarray:
     """Tight (x0, y0, x1, y1) box of the binarized mask, exclusive right/bottom;
     all zeros when nothing exceeds 0.5."""
-    extent = _extent(binarize(mask))
-    if extent is None:
-        return np.zeros(4, np.float64)
-    y0, y1, x0, x1 = extent
-    return np.array([x0, y0, x1, y1], np.float64)
+    rows, cols = _extent(binarize(mask))
+    return np.array([cols.start, rows.start, cols.stop, rows.stop], np.float64)
 
 
 def giou(box_a: np.ndarray, box_b: np.ndarray) -> float:
@@ -310,12 +297,9 @@ def _dice_costs(
     t_sums = np.zeros(len(targets), np.float64)
     for j, target in enumerate(targets):
         gt = np.asarray(target.mask)
-        extent = _extent(gt)
-        if extent is None:
-            continue
-        y0, y1, x0, x1 = extent
-        window = masks[:, y0:y1, x0:x1]
-        gt = gt[y0:y1, x0:x1]
+        rows, cols = _extent(gt)
+        window = masks[:, rows, cols]
+        gt = gt[rows, cols]
         if gt.dtype == np.bool_:
             inter[:, j] = window[:, gt].sum(axis=1, dtype=np.float64)
             t_sums[j] = np.count_nonzero(gt)

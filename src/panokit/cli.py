@@ -346,12 +346,11 @@ def _thing_queries(stack: MaskStack) -> list[tuple[int, MatchQuery]]:
         if not prov.is_thing:
             continue
         mask = stack.masks[i]
-        soft = np.asarray(mask, np.float64)
-        if soft.sum() > 0:
-            center = mass_center(soft)
+        if mask.any():  # masks are >= 0, so this is a positive mass
+            center = mass_center(mask)
         else:
             # an all-zero mask has no mass center; image center keeps costs finite
-            center = np.array([(soft.shape[0] - 1) / 2, (soft.shape[1] - 1) / 2])
+            center = np.array([(mask.shape[0] - 1) / 2, (mask.shape[1] - 1) / 2])
         queries.append(
             (
                 prov.query_index,

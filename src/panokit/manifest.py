@@ -57,6 +57,23 @@ def _load_json(path: Path, schema: str) -> dict:
     return data
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value, as int; a bool, a
+    string, a fraction or a non-finite number is malformed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:
+    """A JSON true or false; anything else is malformed, not truthy."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -89,7 +106,7 @@ def load_taxonomy(path: PathLike) -> tuple[CategorySpec, ...]:
     data = _load_json(Path(path), TAXONOMY_SCHEMA)
     try:
         taxonomy = tuple(
-            CategorySpec(int(c["id"]), str(c["name"]), bool(c["is_thing"]))
+            CategorySpec(_int(c["id"]), str(c["name"]), _bool(c["is_thing"]))
             for c in data["categories"]
         )
         taxonomy_columns(taxonomy)
@@ -229,9 +246,9 @@ def read_stack_manifest(
     def parse(base: Path, image_id: str, image: dict) -> StackEntry:
         provenance = tuple(
             QueryProvenance(
-                int(p["query_index"]),
-                bool(p["is_thing"]),
-                None if p["fixed_category"] is None else int(p["fixed_category"]),
+                _int(p["query_index"]),
+                _bool(p["is_thing"]),
+                None if p["fixed_category"] is None else _int(p["fixed_category"]),
             )
             for p in image["provenance"]
         )
@@ -288,9 +305,9 @@ def read_panoptic_set(
     def parse(base: Path, image_id: str, image: dict):
         segments = tuple(
             Segment(
-                int(s["instance_id"]),
-                int(s["category_id"]),
-                None if s["source_query"] is None else int(s["source_query"]),
+                _int(s["instance_id"]),
+                _int(s["category_id"]),
+                None if s["source_query"] is None else _int(s["source_query"]),
                 None if s["score"] is None else float(s["score"]),
             )
             for s in image["segments"]

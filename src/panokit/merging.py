@@ -74,23 +74,26 @@ def _paint(
 ) -> None:
     """The paint phase: paint rows in place onto the unpainted pixels of ids,
     in descending score order, ties by (category id, query index) ascending,
-    skipping masks below t_cnf or whose visible fraction is below t_keep."""
+    skipping masks below t_cnf or whose visible fraction is below t_keep.
+    Each mask is binarized, counted and painted inside its window only."""
     order = sorted(
         rows, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
     )
     for i in order:
         if scores[i] < params.t_cnf:
             continue
-        cover = binarize(stack.masks[i])
-        area = int(cover.sum())
+        window = stack.windows[i]
+        cover = binarize(stack.masks[i][window])
+        area = int(np.count_nonzero(cover))
         if area == 0:
             # no paintable pixels; also keeps the kept-fraction well-defined
             continue
-        visible = cover & (ids == VOID)
-        visible_area = int(visible.sum())
+        canvas = ids[window]  # a view: painting it paints ids
+        visible = cover & (canvas == VOID)
+        visible_area = int(np.count_nonzero(visible))
         if visible_area == 0 or visible_area / area < params.t_keep:
             continue
-        ids[visible] = _new_id(segments, stack, i, cats, scores)
+        canvas[visible] = _new_id(segments, stack, i, cats, scores)
 
 
 def _first_max(

@@ -89,10 +89,16 @@ def stack_scores(
     taxonomy: Sequence[CategorySpec],
     params: ScoreParams = ScoreParams(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query (category ids, class probabilities, confidences)."""
+    """Per-query (category ids, class probabilities, confidences). Each
+    confidence reads the mask inside its binarized window only: the window
+    holds every kept value, in the same row-major order, so q is unchanged
+    to the bit."""
     cats, probs = predicted_labels(stack, taxonomy)
     confs = np.array(
-        [confidence(float(probs[i]), stack.masks[i], params) for i in range(stack.n)],
+        [
+            confidence(float(probs[i]), stack.masks[i][window], params)
+            for i, window in enumerate(stack.windows)
+        ],
         np.float64,
     )
     return cats, probs, confs

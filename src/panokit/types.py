@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,6 +127,13 @@ class MaskStack:
     def width(self) -> int:
         return self.masks.shape[2]
 
+    @cached_property
+    def windows(self) -> tuple[Window, ...]:
+        """Per mask, the _extent of its binarized pixels: scoring and painting
+        read only this window, since every pixel outside it is at most 0.5.
+        Found once per stack; the masks are locked, so it cannot go stale."""
+        return tuple(_extent(binarize(m)) for m in self.masks)
+
 
 def validate_stack(
     stack: MaskStack, taxonomy: Sequence[CategorySpec]
@@ -186,6 +194,21 @@ def binarize(mask: np.ndarray) -> np.ndarray:
     """The one binarization rule: a pixel is true iff its value exceeds 0.5.
     Compared in the mask's own dtype, exact since 0.5 is representable."""
     return np.asarray(mask) > 0.5
+
+
+# (rows, columns) slices of a 2-d raster
+Window = tuple[slice, slice]
+
+
+def _extent(mask: np.ndarray) -> Window:
+    """The bounding window of the nonzero pixels of a 2-d mask, as (rows,
+    columns) slices; empty slices when every pixel is zero."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[y0:y1].any(axis=0))
+    return slice(y0, y1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 @dataclass(frozen=True)

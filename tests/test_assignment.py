@@ -293,7 +293,14 @@ def test_bbox_of_matches_nonzero_form(dtype):
     half = np.zeros((9, 13))
     half[1:3, 2:9] = 0.5
     half[2, 4] = 0.625
-    cases = [np.zeros((9, 13)), single, half]
+    lone = np.zeros((9, 13))
+    lone[1:3, 1:4] = 0.875
+    lone[8, 12] = 0.75  # far from the body: the box spans the frame
+    row = np.zeros((1, 13))
+    row[0, 5:9] = 0.75
+    column = np.zeros((9, 1))
+    column[8, 0] = 1.0
+    cases = [np.zeros((9, 13)), single, half, lone, row, column]
     for _ in range(60):
         shape = tuple(int(v) for v in rng.integers(1, 20, 2))
         cases.append(rng.random(shape) * (rng.random(shape) < rng.uniform(0.0, 0.3)))

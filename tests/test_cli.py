@@ -167,7 +167,27 @@ _MALFORMED_ANY_SET = {
         "taxonomy.json",
         lambda p: _with(p, ["categories", 1, "id"], 1),
     ),
+    "fractional category id": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 5, "id"], 6.9),
+    ),
+    "boolean category id": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 0, "id"], True),
+    ),
+    "string is_thing": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 5, "is_thing"], "false"),
+    ),
 }
+
+
+def _stuff_query(payload):
+    """Position of the first stuff query in image 0's provenance."""
+    provenance = payload["images"][0]["provenance"]
+    return next(k for k, p in enumerate(provenance) if not p["is_thing"])
+
+
 _MALFORMED_SETS = {
     "stack": {
         **_MALFORMED_ANY_SET,
@@ -181,6 +201,24 @@ _MALFORMED_SETS = {
                 p, ["images", 0, "provenance", 0, "query_index"], float("inf")
             ),
         ),
+        "fractional query_index": (
+            "index",
+            lambda p: _with(p, ["images", 0, "provenance", 0, "query_index"], 0.5),
+        ),
+        "boolean query_index": (
+            "index",
+            lambda p: _with(p, ["images", 0, "provenance", 0, "query_index"], False),
+        ),
+        "string provenance is_thing": (
+            "index",
+            lambda p: _with(p, ["images", 0, "provenance", 0, "is_thing"], "false"),
+        ),
+        "fractional fixed_category": (
+            "index",
+            lambda p: _with(
+                p, ["images", 0, "provenance", _stuff_query(p), "fixed_category"], 6.5
+            ),
+        ),
     },
     "panoptic": {
         **_MALFORMED_ANY_SET,
@@ -191,6 +229,18 @@ _MALFORMED_SETS = {
         "non-numeric score": (
             "index",
             lambda p: _with(p, ["images", 0, "segments", 0, "score"], "x"),
+        ),
+        "fractional instance_id": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "instance_id"], 1.5),
+        ),
+        "boolean category_id": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "category_id"], True),
+        ),
+        "fractional source_query": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "source_query"], 0.25),
         ),
     },
 }

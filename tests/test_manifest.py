@@ -34,6 +34,19 @@ def test_taxonomy_round_trip(tmp_path):
     assert load_taxonomy(path) == DEFAULT_TAXONOMY
 
 
+def test_taxonomy_field_types_are_strict(tmp_path):
+    path = tmp_path / "taxonomy.json"
+    entry = {"id": 6.9, "name": "sky", "is_thing": "false"}
+    path.write_text(json.dumps({"schema": "taxonomy/1", "categories": [entry]}))
+    with pytest.raises(FormatError) as excinfo:
+        load_taxonomy(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    entry = {"id": 6.0, "name": "sky", "is_thing": False}  # integral: kept
+    path.write_text(json.dumps({"schema": "taxonomy/1", "categories": [entry]}))
+    (cat,) = load_taxonomy(path)
+    assert (cat.id, type(cat.id), cat.is_thing) == (6, int, False)
+
+
 def test_taxonomy_rejects_wrong_schema(tmp_path):
     path = tmp_path / "taxonomy.json"
     path.write_text(json.dumps({"schema": "other/9", "categories": []}))

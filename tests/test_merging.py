@@ -14,11 +14,12 @@ from panokit import (
     mask_wise_merge,
     merge_same_category_stuff,
     pixel_wise_argmax,
+    oracle_merge,
     random_stack,
 )
 
 from panokit.merging import _first_max
-from panokit.scoring import predicted_labels
+from panokit.scoring import confidence, predicted_labels, stack_scores
 
 from conftest import make_map, make_stack
 
@@ -402,3 +403,110 @@ def test_merge_params_range_checked():
         MergeParams(t_cnf=1.5)
     with pytest.raises(ValidationError):
         MergeParams(t_keep=-0.1)
+
+
+def _window_edge_stacks():
+    """random_stack cases plus the edges of the windowed path: a lone kept
+    pixel far from its mask's body (the window spans the frame), values of
+    exactly 0.5 (not kept), all-zero and all-0.5 masks (empty windows),
+    1-row and 1-column frames, and empty stacks."""
+    h, w = 9, 11
+    body = np.zeros((h, w), np.float32)
+    body[1:4, 1:4] = 0.875
+    lone = body.copy()
+    lone[h - 1, w - 1] = 0.625
+    half = np.zeros((h, w), np.float32)
+    half[2:7, 3:9] = 0.5
+    half[4, 5] = 0.75
+    flat_half = np.full((h, w), 0.5, np.float32)
+    zero = np.zeros((h, w), np.float32)
+    full = np.full((h, w), 0.75, np.float32)
+    masks = [lone, body, half, flat_half, zero, full]
+    stacks = [
+        make_stack(masks, [1, 2, 3, 6, 4, 7], [1.0, 0.875, 0.75, 1.0, 1.0, 0.5]),
+        make_stack(masks[::-1], [7, 4, 6, 3, 2, 1], [1.0, 0.25, 0.5, 1.0, 0.875, 1.0]),
+    ]
+    for seed in range(60):
+        size = 1 + seed % 12
+        stacks.append(random_stack(seed, 1, size, 1 + seed % 6))
+        stacks.append(random_stack(seed, size, 1, 1 + seed % 6))
+        stacks.append(random_stack(seed, 2 + seed % 9, 3 + seed % 7, seed % 9))
+    stacks.append(random_stack(0, 4, 5, 0))
+    return stacks
+
+
+_WINDOW_PARAMS = (
+    MergeParams(),
+    MergeParams(t_cnf=0.0, t_keep=0.0),
+    MergeParams(t_keep=0.3, min_area=2),
+)
+
+
+def test_windows_are_the_nonzero_bounds_of_the_binarized_masks():
+    for stack in _window_edge_stacks():
+        assert len(stack.windows) == stack.n
+        for mask, window in zip(stack.masks, stack.windows):
+            ys, xs = np.nonzero(mask > 0.5)
+            if ys.size == 0:
+                assert window == (slice(0, 0), slice(0, 0))
+            else:
+                rows = slice(int(ys.min()), int(ys.max()) + 1)
+                cols = slice(int(xs.min()), int(xs.max()) + 1)
+                assert window == (rows, cols)
+
+
+def test_windowed_scores_equal_full_frame_confidences():
+    score = ScoreParams(alpha=0.5, beta=3.0)
+    for stack in _window_edge_stacks():
+        _, probs, confs = stack_scores(stack, DEFAULT_TAXONOMY, score)
+        full = [confidence(float(p), m, score) for p, m in zip(probs, stack.masks)]
+        assert confs.tobytes() == np.array(full, np.float64).tobytes()
+
+
+def test_windowed_mask_wise_merge_matches_oracle():
+    for stack in _window_edge_stacks():
+        _, probs = predicted_labels(stack, DEFAULT_TAXONOMY)
+        row_of = {p.query_index: i for i, p in enumerate(stack.provenance)}
+        for params in _WINDOW_PARAMS:
+            got = mask_wise_merge(stack, DEFAULT_TAXONOMY, params)
+            ref = oracle_merge(stack, DEFAULT_TAXONOMY, params)
+            assert np.array_equal(got.ids, ref.ids)
+            assert np.array_equal(got.sem, ref.sem)
+            # the oracle sums q in its own order; scores are the reference's
+            segments = [
+                Segment(
+                    s.instance_id,
+                    s.category_id,
+                    s.source_query,
+                    confidence(
+                        float(probs[row_of[s.source_query]]),
+                        stack.masks[row_of[s.source_query]],
+                        params.score,
+                    ),
+                )
+                for s in ref.segments
+            ]
+            assert list(got.segments) == segments
+
+
+def test_windowed_heuristic_merge_matches_oracle_then_fill():
+    for stack in _window_edge_stacks():
+        stuff = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
+        for params in _WINDOW_PARAMS:
+            beta_zero = MergeParams(
+                params.t_cnf, params.t_keep, score=ScoreParams(beta=0.0)
+            )
+            painted = oracle_merge(_things_only(stack), DEFAULT_TAXONOMY, beta_zero)
+            ids = painted.ids.copy()
+            segments = list(painted.segments)
+            if stuff:
+                first = len(segments) + 1
+                fill, kept = _reference_fill(
+                    stack, stuff, None, painted.ids == 0, params.min_area, first
+                )
+                ids += fill
+                segments += _reference_segments(stack, kept, first)
+            got = heuristic_merge(stack, DEFAULT_TAXONOMY, params)
+            assert np.array_equal(got.ids, ids)
+            assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
+            assert list(got.segments) == segments
