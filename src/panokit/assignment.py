@@ -99,13 +99,27 @@ class MatchTarget:
 
 
 def mass_center(mask: np.ndarray) -> np.ndarray:
-    """Probability-weighted (y, x) center of a mask."""
-    m = np.asarray(mask, np.float64)
-    total = m.sum()
+    """Probability-weighted (y, x) center of a mask.
+
+    A bool mask is summed inside its _extent only, with absolute row and
+    column indices. Every partial sum is then an integer below 2**53, exact
+    in float64 in any order, and the pixels outside the window add exact
+    zeros, so the center is bit-identical to that of the mask's float64
+    copy. Other masks are summed as that float64 copy: a float32 total
+    accumulated in another order can differ by an ulp."""
+    m = np.asarray(mask)
+    if m.dtype == np.bool_:
+        rows, cols = _extent(m)
+        m = m[rows, cols]
+        y0, x0 = rows.start, cols.start
+    else:
+        m = np.asarray(m, np.float64)
+        y0 = x0 = 0
+    total = float(m.sum())
     if total <= 0:
         raise ValidationError("mass center of an all-zero mask is undefined")
-    ys = np.arange(m.shape[0], dtype=np.float64)
-    xs = np.arange(m.shape[1], dtype=np.float64)
+    ys = np.arange(y0, y0 + m.shape[0], dtype=np.float64)
+    xs = np.arange(x0, x0 + m.shape[1], dtype=np.float64)
     return np.array([(m.sum(axis=1) * ys).sum() / total, (m.sum(axis=0) * xs).sum() / total])
 
 
@@ -290,15 +304,16 @@ def _dice_costs(
 ) -> np.ndarray:
     """(Q, T) dice_loss of each query mask against each target mask. The
     intersection with a target is summed inside the bounding window of its
-    nonzero pixels only, since pixels outside it add exactly zero."""
-    masks = np.stack([np.asarray(q.mask) for q in queries])
-    q_sums = masks.reshape(len(queries), -1).sum(axis=1, dtype=np.float64)
+    nonzero pixels only, since pixels outside it add exactly zero. The query
+    masks are never stacked: each target copies only its window of each."""
+    masks = [np.asarray(q.mask) for q in queries]
+    q_sums = np.array([m.sum(dtype=np.float64) for m in masks])
     inter = np.zeros((len(queries), len(targets)), np.float64)
     t_sums = np.zeros(len(targets), np.float64)
     for j, target in enumerate(targets):
         gt = np.asarray(target.mask)
         rows, cols = _extent(gt)
-        window = masks[:, rows, cols]
+        window = np.stack([m[rows, cols] for m in masks])
         gt = gt[rows, cols]
         if gt.dtype == np.bool_:
             inter[:, j] = window[:, gt].sum(axis=1, dtype=np.float64)

@@ -397,7 +397,7 @@ def _cmd_assign(args) -> int:
                     category_index=columns[seg.category_id],
                     mask=mask,
                     box=bbox_of(mask),
-                    center=mass_center(mask.astype(np.float64)),
+                    center=mass_center(mask),
                 )
             )
             target_ids.append(seg.instance_id)

@@ -10,6 +10,7 @@ directory sem (uint16) and ids (uint32) tensors plus segment records.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +75,23 @@ def _bool(value) -> bool:
     return value
 
 
+def _float(value) -> float:
+    """A finite JSON number as float; a bool, a string or a non-finite
+    number is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    """A JSON string; a number or anything else is malformed, not converted."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -106,7 +124,7 @@ def load_taxonomy(path: PathLike) -> tuple[CategorySpec, ...]:
     data = _load_json(Path(path), TAXONOMY_SCHEMA)
     try:
         taxonomy = tuple(
-            CategorySpec(_int(c["id"]), str(c["name"]), _bool(c["is_thing"]))
+            CategorySpec(_int(c["id"]), _str(c["name"]), _bool(c["is_thing"]))
             for c in data["categories"]
         )
         taxonomy_columns(taxonomy)
@@ -168,7 +186,7 @@ def _read_set(
         taxonomy_path = base / data["taxonomy"]
         records = []
         for image in data["images"]:
-            image_id = str(image["id"])
+            image_id = _str(image["id"])
             records.append((image_id, parse(base, image_id, image)))
     except _MALFORMED as exc:
         raise FormatError(
@@ -308,7 +326,7 @@ def read_panoptic_set(
                 _int(s["instance_id"]),
                 _int(s["category_id"]),
                 None if s["source_query"] is None else _int(s["source_query"]),
-                None if s["score"] is None else float(s["score"]),
+                None if s["score"] is None else _float(s["score"]),
             )
             for s in image["segments"]
         )

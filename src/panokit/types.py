@@ -192,8 +192,12 @@ def validate_stack(
 
 def binarize(mask: np.ndarray) -> np.ndarray:
     """The one binarization rule: a pixel is true iff its value exceeds 0.5.
-    Compared in the mask's own dtype, exact since 0.5 is representable."""
-    return np.asarray(mask) > 0.5
+    Compared in the mask's own dtype, exact since 0.5 is representable.
+
+    A bool mask already is its own binarization, so it is returned as it
+    is, not copied: callers must not write to the result."""
+    m = np.asarray(mask)
+    return m if m.dtype == np.bool_ else m > 0.5
 
 
 # (rows, columns) slices of a 2-d raster

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,36 @@ def test_mass_center_and_bbox():
 def test_mass_center_empty_rejected():
     with pytest.raises(ValidationError):
         mass_center(np.zeros((4, 4)))
+
+
+def test_mass_center_of_bool_mask_is_exact():
+    rng = np.random.default_rng(11)
+    single = np.zeros((7, 12), bool)
+    single[3, 9] = True
+    blobs = np.zeros((40, 30), bool)
+    blobs[2:6, 3:9] = True
+    blobs[31:38, 20:29] = True
+    cases = [single, blobs, np.ones((5, 11), bool), np.ones((1, 1), bool)]
+    for edge in (np.s_[0, 4:9], np.s_[-1, 2:6], np.s_[3:7, 0], np.s_[1:4, -1]):
+        touching = np.zeros((9, 14), bool)
+        touching[4:6, 5:8] = True
+        touching[edge] = True
+        cases.append(touching)
+    wide = np.zeros((600, 1024), bool)
+    wide[37:590, 500:1020] = rng.random((553, 520)) < 0.3
+    cases.append(wide)
+    for _ in range(200):
+        shape = tuple(int(v) for v in rng.integers(1, 64, 2))
+        mask = rng.random(shape) < rng.uniform(0.0, 0.5)
+        if mask.any():
+            cases.append(mask)
+    for mask in cases:
+        assert np.array_equal(mass_center(mask), mass_center(mask.astype(np.float64)))
+    with pytest.raises(ValidationError) as got:
+        mass_center(np.zeros((6, 5), bool))
+    with pytest.raises(ValidationError) as want:
+        mass_center(np.zeros((6, 5)))
+    assert str(got.value) == str(want.value)
 
 
 def test_giou_identity_and_disjoint():
@@ -229,6 +261,26 @@ def test_build_cost_matrix_matches_scalar_matching_cost():
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert build_cost_matrix([], targets).shape == (0, len(targets))
+
+
+def test_dice_costs_never_stack_the_query_frames():
+    n, h, w = 8, 512, 512
+    rng = np.random.default_rng(2)
+    masks = rng.random((n, h, w)).astype(np.float32)  # MaskStack rows
+    queries = [MatchQuery(np.full(3, 0.5), m) for m in masks]
+    targets = []
+    for j in range(4):
+        gt = np.zeros((h, w), bool)
+        y, x = rng.integers(0, h - 64, 2)
+        gt[y : y + 64, x : x + 48] = True
+        targets.append(MatchTarget(j % 3, gt if j else gt.astype(np.float32)))
+    tracemalloc.start()
+    try:
+        assignment._dice_costs(queries, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * h * w * 4 / 2
 
 
 def _defect(kind):

@@ -179,6 +179,11 @@ _MALFORMED_ANY_SET = {
         "taxonomy.json",
         lambda p: _with(p, ["categories", 5, "is_thing"], "false"),
     ),
+    "numeric category name": (
+        "taxonomy.json",
+        lambda p: _with(p, ["categories", 0, "name"], 5),
+    ),
+    "numeric image id": ("index", lambda p: _with(p, ["images", 0, "id"], 7)),
 }
 
 
@@ -229,6 +234,14 @@ _MALFORMED_SETS = {
         "non-numeric score": (
             "index",
             lambda p: _with(p, ["images", 0, "segments", 0, "score"], "x"),
+        ),
+        "string score": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "score"], "0.5"),
+        ),
+        "infinite score": (
+            "index",
+            lambda p: _with(p, ["images", 0, "segments", 0, "score"], float("inf")),
         ),
         "fractional instance_id": (
             "index",

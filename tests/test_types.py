@@ -103,6 +103,8 @@ def test_binarize_matches_strict_compare(value):
     for dtype in (np.float16, np.float32, np.float64):
         m = np.full((2, 2), value, dtype)
         assert bool(binarize(m)[0, 0]) == (float(dtype(value)) > 0.5)
+    m = np.full((2, 2), value > 0.5)
+    assert binarize(m) is m  # a bool mask is its own binarization, uncopied
 
 
 def test_taxonomy_columns_positional():
