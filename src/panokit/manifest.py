@@ -4,7 +4,10 @@ Tensors live in PST1 files; everything human-facing is JSON with a versioned
 "schema" field. Both set kinds share one layout, a JSON index with one record
 per image plus tensor files and taxonomy.json beside it: a stack manifest
 lists mask and class-probability tensors plus inline provenance, a panoptic
-directory sem (uint16) and ids (uint32) tensors plus segment records.
+directory category and instance-id tensors plus segment records.
+
+Each JSON record's fields and each tensor's stored dtype are spelled once,
+in the tables below; the readers and the writers walk them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +39,6 @@ STACK_SCHEMA = "stack-manifest/1"
 PANOPTIC_SCHEMA = "panoptic-dir/1"
 
 PathLike = Union[str, Path]
-T = TypeVar("T")
 
 # what parsing a record with a missing key, a wrong type or a bad value raises
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
@@ -92,6 +94,140 @@ def _str(value) -> str:
     return value
 
 
+def _list(value) -> list:
+    """A JSON array; an object or anything else is malformed, not iterated."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _plain_name(value, what: str) -> str:
+    """A JSON string naming a file in the set's own directory: not empty,
+    not . or .., and free of path separators and NUL."""
+    name = _str(value)
+    if name in ("", ".", "..") or not set(name).isdisjoint("/\\\0"):
+        raise ValidationError(f"{what} {name!r} is not a plain file name")
+    return name
+
+
+def _image_id(value) -> str:
+    """An image id; it prefixes the image's tensor file names."""
+    return _plain_name(value, "image id")
+
+
+def _file_name(value) -> str:
+    return _plain_name(value, "file name")
+
+
+class _Field(NamedTuple):
+    """One field of a JSON record: its key, which is also the attribute it is
+    written from, the converter its value is read through, and whether null
+    is a valid value."""
+
+    name: str
+    convert: Callable[[object], object]
+    nullable: bool = False
+
+    def read(self, record: dict):
+        value = record[self.name]
+        return None if value is None and self.nullable else self.convert(value)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One JSON record kind: the class it builds and its fields in file order."""
+
+    kind: type
+    fields: tuple[_Field, ...]
+
+    def read(self, records) -> tuple:
+        """A JSON array of records as a tuple of kind instances."""
+        return tuple(
+            self.kind(**{f.name: f.read(record) for f in self.fields})
+            for record in _list(records)
+        )
+
+    def dump(self, items: Sequence) -> list[dict]:
+        return [{f.name: getattr(item, f.name) for f in self.fields} for item in items]
+
+
+_CATEGORY = _Table(
+    CategorySpec,
+    (_Field("id", _int), _Field("name", _str), _Field("is_thing", _bool)),
+)
+_PROVENANCE = _Table(
+    QueryProvenance,
+    (
+        _Field("query_index", _int),
+        _Field("is_thing", _bool),
+        _Field("fixed_category", _int, nullable=True),
+    ),
+)
+_SEGMENT = _Table(
+    Segment,
+    (
+        _Field("instance_id", _int),
+        _Field("category_id", _int),
+        _Field("source_query", _int, nullable=True),
+        _Field("score", _float, nullable=True),
+    ),
+)
+
+
+class _Tensor(NamedTuple):
+    """One tensor of an image record: its key, which is also the MaskStack or
+    PanopticMap attribute it is written from, its file name suffix and the
+    dtype it is stored as."""
+
+    name: str
+    suffix: str
+    dtype: np.dtype
+
+    def load(self, path: Path) -> np.ndarray:
+        array = read_pst(path)
+        if array.dtype != self.dtype:
+            raise FormatError(
+                f"{path}: {self.name} stored as {array.dtype}, expected {self.dtype}"
+            )
+        return array
+
+
+_MASKS = _Tensor("masks", "masks", np.dtype(np.float32))
+_CLASS_PROBS = _Tensor("class_probs", "probs", np.dtype(np.float32))
+_SEM = _Tensor("sem", "sem", np.dtype(np.uint16))
+_IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """One set kind: its index file and schema, the tensors of each image,
+    and the key (also the item attribute) and table of each image's
+    records."""
+
+    index_name: str
+    schema: str
+    tensors: tuple[_Tensor, ...]
+    records: str
+    table: _Table
+
+    @property
+    def image_fields(self) -> tuple[_Field, ...]:
+        """The fields of an image record, in file order."""
+        return (
+            _Field("id", _image_id),
+            *(_Field(tensor.name, _file_name) for tensor in self.tensors),
+            _Field(self.records, self.table.read),
+        )
+
+
+_STACK_SET = _Layout(
+    "manifest.json", STACK_SCHEMA, (_MASKS, _CLASS_PROBS), "provenance", _PROVENANCE
+)
+_PANOPTIC_SET = _Layout(
+    "panoptic.json", PANOPTIC_SCHEMA, (_SEM, _IDS), "segments", _SEGMENT
+)
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -110,23 +246,14 @@ def save_taxonomy(path: PathLike, taxonomy: Sequence[CategorySpec]) -> None:
     taxonomy_columns(taxonomy)  # id uniqueness
     _dump_json(
         Path(path),
-        {
-            "schema": TAXONOMY_SCHEMA,
-            "categories": [
-                {"id": c.id, "name": c.name, "is_thing": c.is_thing}
-                for c in taxonomy
-            ],
-        },
+        {"schema": TAXONOMY_SCHEMA, "categories": _CATEGORY.dump(taxonomy)},
     )
 
 
 def load_taxonomy(path: PathLike) -> tuple[CategorySpec, ...]:
     data = _load_json(Path(path), TAXONOMY_SCHEMA)
     try:
-        taxonomy = tuple(
-            CategorySpec(_int(c["id"]), _str(c["name"]), _bool(c["is_thing"]))
-            for c in data["categories"]
-        )
+        taxonomy = _CATEGORY.read(data["categories"])
         taxonomy_columns(taxonomy)
     except _MALFORMED as exc:
         raise FormatError(
@@ -138,29 +265,38 @@ def load_taxonomy(path: PathLike) -> tuple[CategorySpec, ...]:
 def _write_set(
     out_dir: PathLike,
     taxonomy: Sequence[CategorySpec],
-    items: Sequence[tuple[str, T]],
-    index_name: str,
-    schema: str,
-    entry: Callable[[Path, str, T], dict],
+    items: Sequence[tuple[str, object]],
+    layout: _Layout,
 ) -> Path:
-    """Remove the old index, write taxonomy.json, let entry(out, image_id,
-    item) write each image's tensors and return its record, then rename the
-    new index into place from a temp file; returns the index path."""
-    duplicate = _duplicate_id([image_id for image_id, _ in items])
+    """Check the image ids, remove the old index, write taxonomy.json and
+    each image's tensors, then rename the new index into place from a temp
+    file; returns the index path."""
+    try:
+        image_ids = [_image_id(image_id) for image_id, _ in items]
+    except TypeError as exc:  # not a string
+        raise ValidationError(f"image id: {exc}") from exc
+    duplicate = _duplicate_id(image_ids)
     if duplicate is not None:  # its tensors would overwrite the first's
         raise ValidationError(f"image id {duplicate!r} appears twice in the set")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index = out / index_name
+    index = out / layout.index_name
     index.unlink(missing_ok=True)
     save_taxonomy(out / "taxonomy.json", taxonomy)
-    images = [
-        {"id": image_id, **entry(out, image_id, item)} for image_id, item in items
-    ]
-    tmp = index.with_name(f".{index_name}.tmp")
+    images = []
+    for image_id, item in items:
+        image = {"id": image_id}
+        for tensor in layout.tensors:
+            image[tensor.name] = name = f"{image_id}_{tensor.suffix}.pst"
+            values = getattr(item, tensor.name)
+            write_pst(out / name, values.astype(tensor.dtype, copy=False))
+        image[layout.records] = layout.table.dump(getattr(item, layout.records))
+        images.append(image)
+    tmp = index.with_name(f".{layout.index_name}.tmp")
     try:
         _dump_json(
-            tmp, {"schema": schema, "taxonomy": "taxonomy.json", "images": images}
+            tmp,
+            {"schema": layout.schema, "taxonomy": "taxonomy.json", "images": images},
         )
         os.replace(tmp, index)
     finally:
@@ -169,33 +305,31 @@ def _write_set(
 
 
 def _read_set(
-    path: PathLike,
-    index_name: str,
-    schema: str,
-    parse: Callable[[Path, str, dict], T],
-) -> tuple[tuple[CategorySpec, ...], list[tuple[str, T]]]:
+    path: PathLike, layout: _Layout
+) -> tuple[tuple[CategorySpec, ...], list[tuple[str, list[Path], tuple]]]:
     """Read a set directory (or its index) as its taxonomy and a list of
-    (image id, parse(base, image_id, record)). parse only converts fields:
-    callers load tensors after this guard, so their errors keep their type."""
+    (image id, tensor paths in layout order, records). Only fields are
+    converted here: callers load tensors after this guard, so their errors
+    keep their type."""
     index = Path(path)
     if index.is_dir():
-        index = index / index_name
-    data = _load_json(index, schema)
+        index = index / layout.index_name
+    data = _load_json(index, layout.schema)
     base = index.parent
     try:
-        taxonomy_path = base / data["taxonomy"]
-        records = []
-        for image in data["images"]:
-            image_id = _str(image["id"])
-            records.append((image_id, parse(base, image_id, image)))
+        taxonomy_path = base / _file_name(data["taxonomy"])
+        images = []
+        for image in _list(data["images"]):
+            image_id, *names, records = (f.read(image) for f in layout.image_fields)
+            images.append((image_id, [base / name for name in names], records))
     except _MALFORMED as exc:
         raise FormatError(
             f"{index}: malformed index ({type(exc).__name__}: {exc})"
         ) from exc
-    duplicate = _duplicate_id([image_id for image_id, _ in records])
+    duplicate = _duplicate_id([image_id for image_id, _, _ in images])
     if duplicate is not None:
         raise FormatError(f"{index}: image id {duplicate!r} listed twice")
-    return load_taxonomy(taxonomy_path), records
+    return load_taxonomy(taxonomy_path), images
 
 
 @dataclass(frozen=True)
@@ -208,8 +342,8 @@ class StackEntry:
     provenance: tuple[QueryProvenance, ...]
 
     def load(self, taxonomy: Sequence[CategorySpec]) -> MaskStack:
-        masks = read_pst(self.masks_path)
-        probs = read_pst(self.probs_path)
+        masks = _MASKS.load(self.masks_path)
+        probs = _CLASS_PROBS.load(self.probs_path)
         if masks.ndim != 3:
             raise FormatError(f"{self.masks_path}: expected a (N, H, W) tensor")
         try:
@@ -233,26 +367,7 @@ def write_stack_set(
 ) -> Path:
     """Write taxonomy, per-image tensors, and manifest.json last; returns the
     manifest path. An interrupted rewrite leaves no manifest."""
-
-    def entry(out: Path, image_id: str, stack: MaskStack) -> dict:
-        masks_name = f"{image_id}_masks.pst"
-        probs_name = f"{image_id}_probs.pst"
-        write_pst(out / masks_name, stack.masks.astype(np.float32))
-        write_pst(out / probs_name, stack.class_probs.astype(np.float32))
-        return {
-            "masks": masks_name,
-            "class_probs": probs_name,
-            "provenance": [
-                {
-                    "query_index": p.query_index,
-                    "is_thing": p.is_thing,
-                    "fixed_category": p.fixed_category,
-                }
-                for p in stack.provenance
-            ],
-        }
-
-    return _write_set(out_dir, taxonomy, items, "manifest.json", STACK_SCHEMA, entry)
+    return _write_set(out_dir, taxonomy, items, _STACK_SET)
 
 
 def read_stack_manifest(
@@ -260,22 +375,11 @@ def read_stack_manifest(
 ) -> tuple[tuple[CategorySpec, ...], list[StackEntry]]:
     """Read a stack directory (or its manifest.json directly); tensors load
     lazily via StackEntry.load."""
-
-    def parse(base: Path, image_id: str, image: dict) -> StackEntry:
-        provenance = tuple(
-            QueryProvenance(
-                _int(p["query_index"]),
-                _bool(p["is_thing"]),
-                None if p["fixed_category"] is None else _int(p["fixed_category"]),
-            )
-            for p in image["provenance"]
-        )
-        return StackEntry(
-            image_id, base / image["masks"], base / image["class_probs"], provenance
-        )
-
-    taxonomy, records = _read_set(manifest_path, "manifest.json", STACK_SCHEMA, parse)
-    return taxonomy, [entry for _, entry in records]
+    taxonomy, images = _read_set(manifest_path, _STACK_SET)
+    return taxonomy, [
+        StackEntry(image_id, *paths, provenance)
+        for image_id, paths, provenance in images
+    ]
 
 
 def write_panoptic_set(
@@ -285,33 +389,14 @@ def write_panoptic_set(
 ) -> Path:
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
-
-    def entry(out: Path, image_id: str, pmap: PanopticMap) -> dict:
+    for image_id, pmap in items:
         bounds = (("category", pmap.sem, 16), ("instance", pmap.ids, 31))
-        for name, values, bits in bounds:  # the uint16/uint32 casts would wrap
+        for name, values, bits in bounds:  # the stored unsigned ids would wrap
             if values.min(initial=0) < 0 or values.max(initial=0) >= 1 << bits:
                 raise ValidationError(
                     f"image {image_id}: {name} ids must lie in [0, 2**{bits})"
                 )
-        sem_name = f"{image_id}_sem.pst"
-        ids_name = f"{image_id}_ids.pst"
-        write_pst(out / sem_name, pmap.sem.astype(np.uint16))
-        write_pst(out / ids_name, pmap.ids.astype(np.uint32))
-        return {
-            "sem": sem_name,
-            "ids": ids_name,
-            "segments": [
-                {
-                    "instance_id": s.instance_id,
-                    "category_id": s.category_id,
-                    "source_query": s.source_query,
-                    "score": s.score,
-                }
-                for s in pmap.segments
-            ],
-        }
-
-    return _write_set(out_dir, taxonomy, items, "panoptic.json", PANOPTIC_SCHEMA, entry)
+    return _write_set(out_dir, taxonomy, items, _PANOPTIC_SET)
 
 
 def read_panoptic_set(
@@ -319,24 +404,11 @@ def read_panoptic_set(
 ) -> tuple[tuple[CategorySpec, ...], list[tuple[str, PanopticMap]]]:
     """Read a panoptic directory (or its panoptic.json directly); maps are
     validated on load."""
-
-    def parse(base: Path, image_id: str, image: dict):
-        segments = tuple(
-            Segment(
-                _int(s["instance_id"]),
-                _int(s["category_id"]),
-                None if s["source_query"] is None else _int(s["source_query"]),
-                None if s["score"] is None else _float(s["score"]),
-            )
-            for s in image["segments"]
-        )
-        return base / image["sem"], base / image["ids"], segments
-
-    taxonomy, records = _read_set(path, "panoptic.json", PANOPTIC_SCHEMA, parse)
+    taxonomy, images = _read_set(path, _PANOPTIC_SET)
     items = []
-    for image_id, (sem_path, ids_path, segments) in records:
-        sem = read_pst(sem_path)
-        ids = read_pst(ids_path)
+    for image_id, (sem_path, ids_path), segments in images:
+        sem = _SEM.load(sem_path)
+        ids = _IDS.load(ids_path)
         if ids.max(initial=0) >= 2**31:
             raise FormatError(f"{ids_path}: instance ids exceed int32 range")
         pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)

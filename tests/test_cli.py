@@ -5,6 +5,7 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
+from panokit import manifest
 from panokit.cli import build_parser, main
 from panokit.manifest import read_panoptic_set, read_stack_manifest, write_panoptic_set
 from panokit.pst import read_pst, write_pst
@@ -184,6 +185,14 @@ _MALFORMED_ANY_SET = {
         lambda p: _with(p, ["categories", 0, "name"], 5),
     ),
     "numeric image id": ("index", lambda p: _with(p, ["images", 0, "id"], 7)),
+    "image id climbing out": (
+        "index",
+        lambda p: _with(p, ["images", 0, "id"], "../0000"),
+    ),
+    "absolute taxonomy path": (
+        "index",
+        lambda p: {**p, "taxonomy": "/nonexistent/taxonomy.json"},
+    ),
 }
 
 
@@ -224,6 +233,16 @@ _MALFORMED_SETS = {
                 p, ["images", 0, "provenance", _stuff_query(p), "fixed_category"], 6.5
             ),
         ),
+        "NUL in tensor name": (
+            "index",
+            lambda p: _with(p, ["images", 0, "masks"], "0000_masks.pst\0"),
+        ),
+        "absolute tensor path": (
+            "index",
+            lambda p: _with(
+                p, ["images", 0, "class_probs"], "/nonexistent/0000_probs.pst"
+            ),
+        ),
     },
     "panoptic": {
         **_MALFORMED_ANY_SET,
@@ -255,6 +274,14 @@ _MALFORMED_SETS = {
             "index",
             lambda p: _with(p, ["images", 0, "segments", 0, "source_query"], 0.25),
         ),
+        "NUL in tensor name": (
+            "index",
+            lambda p: _with(p, ["images", 0, "sem"], "0000_sem.pst\0"),
+        ),
+        "absolute tensor path": (
+            "index",
+            lambda p: _with(p, ["images", 0, "ids"], "/nonexistent/0000_ids.pst"),
+        ),
     },
 }
 
@@ -263,6 +290,13 @@ _MALFORMED_SETS = {
     "kind, case", [(k, c) for k, cases in _MALFORMED_SETS.items() for c in cases]
 )
 def test_malformed_set_is_data_error_naming_the_file(tmp_path, capsys, kind, case):
+    _assert_data_error_naming(tmp_path, capsys, kind, *_MALFORMED_SETS[kind][case])
+
+
+def _assert_data_error_naming(tmp_path, capsys, kind, name, edit):
+    """Corrupt one file of a fresh one-image set with edit, as in
+    _MALFORMED_SETS, then check that reading the set is a data error whose
+    message starts with that file."""
     data = tmp_path / "data"
     main(["synth", "--h", "32", "--w", "32", "--n", "1", "--out", str(data)])
     if kind == "stack":
@@ -272,7 +306,6 @@ def test_malformed_set_is_data_error_naming_the_file(tmp_path, capsys, kind, cas
         root, index = data / "gt", "panoptic.json"
         argv = ["eval", "--pred", str(root), "--gt", str(root)]
         argv += ["--out", str(tmp_path / "o.json")]
-    name, edit = _MALFORMED_SETS[kind][case]
     culprit = root / (index if name == "index" else name)
     edited = edit(json.loads(culprit.read_text()))
     if not isinstance(edited, bytes):
@@ -283,6 +316,90 @@ def test_malformed_set_is_data_error_naming_the_file(tmp_path, capsys, kind, cas
     err = capsys.readouterr().err
     assert err.startswith(f"error: {culprit}: ")
     assert "Traceback" not in err
+
+
+# every field of every record table in manifest.py gets each of these values,
+# or loses its key, unless the value is valid for the field
+_FIELD_MUTATIONS = {
+    "null": None,
+    "true": True,
+    "string": "x",
+    "fraction": 0.5,
+    "Infinity": float("inf"),
+    "NaN": float("nan"),
+    "list": [],
+    "object": {},
+}
+
+# the mutations each field converter accepts, null aside
+_VALID_MUTATIONS = {
+    manifest._int: set(),
+    manifest._bool: {"true"},
+    manifest._float: {"fraction"},
+    manifest._str: {"string"},
+    manifest._image_id: {"string"},
+    manifest._file_name: {"string"},
+    manifest._PROVENANCE.read: {"list"},
+    manifest._SEGMENT.read: {"list"},
+}
+
+# record -> (its fields, set kind, file holding it, keys of the first one)
+_RECORDS = {
+    "category": (
+        manifest._CATEGORY.fields, "panoptic", "taxonomy.json", ["categories", 0]
+    ),
+    "provenance": (
+        manifest._PROVENANCE.fields, "stack", "index", ["images", 0, "provenance", 0]
+    ),
+    "segment": (
+        manifest._SEGMENT.fields, "panoptic", "index", ["images", 0, "segments", 0]
+    ),
+    "stack image": (manifest._STACK_SET.image_fields, "stack", "index", ["images", 0]),
+    "panoptic image": (
+        manifest._PANOPTIC_SET.image_fields, "panoptic", "index", ["images", 0]
+    ),
+}
+
+
+def _field_mutations():
+    for record, (fields, *_) in _RECORDS.items():
+        for field in fields:
+            valid = _VALID_MUTATIONS[field.convert]
+            if field.nullable:
+                valid = valid | {"null"}
+            yield record, field.name, "missing"
+            yield from (
+                (record, field.name, mutation)
+                for mutation in _FIELD_MUTATIONS
+                if mutation not in valid
+            )
+
+
+def test_every_record_table_is_mutated():
+    owned = vars(manifest).values()
+    tables = [t.fields for t in owned if isinstance(t, manifest._Table)]
+    tables += [s.image_fields for s in owned if isinstance(s, manifest._Layout)]
+    covered = [fields for fields, *_ in _RECORDS.values()]
+    assert len(tables) == len(covered) and all(t in covered for t in tables)
+
+
+@pytest.mark.parametrize("record, field, mutation", list(_field_mutations()))
+def test_malformed_record_field_is_data_error_naming_the_file(
+    tmp_path, capsys, record, field, mutation
+):
+    _, kind, name, keys = _RECORDS[record]
+
+    def edit(payload):
+        inner = payload
+        for key in keys:
+            inner = inner[key]
+        if mutation == "missing":
+            del inner[field]
+        else:
+            inner[field] = _FIELD_MUTATIONS[mutation]
+        return payload
+
+    _assert_data_error_naming(tmp_path, capsys, kind, name, edit)
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from panokit import (
     generate_scene,
 )
 from panokit import manifest
+from panokit.pst import read_pst, write_pst
 from panokit.manifest import (
     load_taxonomy,
     read_panoptic_set,
@@ -244,3 +246,82 @@ def test_set_writes_leave_no_temp_file(tmp_path, monkeypatch, kind):
     with pytest.raises(OSError):
         _write_set(kind, out, seed=2)
     assert {p.name for p in out.iterdir()} == names - {index.name}
+
+
+_NOT_PLAIN_IDS = {
+    "climbs out": "../outside",
+    "slash": "a/b",
+    "backslash": "a\\b",
+    "empty": "",
+    "dot": ".",
+    "dotdot": "..",
+    "NUL": "a\0b",
+    "number": 7,
+}
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+@pytest.mark.parametrize("case", _NOT_PLAIN_IDS)
+def test_set_writers_reject_ids_that_are_not_plain_names(tmp_path, kind, case):
+    gt, stack = _scene(0)
+    item = stack if kind == "stack" else gt
+    writer = write_stack_set if kind == "stack" else write_panoptic_set
+    items = [("a", item), (_NOT_PLAIN_IDS[case], item)]
+    with pytest.raises(ValidationError, match="image id"):
+        writer(tmp_path / "set", DEFAULT_TAXONOMY, items)
+    assert list(tmp_path.iterdir()) == []  # nothing written, in the set or beside it
+
+
+# case -> (index field, value); "tensor" is the image's first tensor, and
+# {other} a second set beside the one read
+_ESCAPING_NAMES = {
+    "image id climbs out": ("id", "../a"),
+    "empty image id": ("id", ""),
+    "NUL in image id": ("id", "a\0"),
+    "absolute tensor path": ("tensor", "{other}/a_{tensor}.pst"),
+    "tensor climbs out": ("tensor", "../other/a_{tensor}.pst"),
+    "NUL in tensor name": ("tensor", "a_{tensor}.pst\0"),
+    "absolute taxonomy path": ("taxonomy", "{other}/taxonomy.json"),
+}
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+@pytest.mark.parametrize("case", _ESCAPING_NAMES)
+def test_set_readers_reject_names_that_leave_the_directory(tmp_path, kind, case):
+    index = _write_set(kind, tmp_path / "set", seed=0)
+    _write_set(kind, tmp_path / "other", seed=1)
+    tensor = "masks" if kind == "stack" else "sem"
+    field, value = _ESCAPING_NAMES[case]
+    value = value.format(other=tmp_path / "other", tensor=tensor)
+    payload = json.loads(index.read_text())
+    if field == "taxonomy":
+        payload["taxonomy"] = value
+    else:
+        payload["images"][0][tensor if field == "tensor" else field] = value
+    index.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(index))}: malformed"):
+        _read_set(kind, tmp_path / "set")
+
+
+# tensor file -> its values in another storable dtype, which a cast to the
+# in-memory dtype would take silently (float sem values would truncate)
+_RECASTS = {
+    "masks": lambda a: (a > 0.5).astype(np.uint16),
+    "probs": lambda a: (a > 0.5).astype(np.uint16),
+    "sem": lambda a: a.astype(np.float32) + np.float32(0.7),
+    "ids": lambda a: a.astype(np.uint16),
+}
+
+
+@pytest.mark.parametrize("tensor", _RECASTS)
+def test_set_readers_reject_tensors_in_another_dtype(tmp_path, tensor):
+    kind = "stack" if tensor in ("masks", "probs") else "panoptic"
+    out = tmp_path / "set"
+    _write_set(kind, out, seed=0)
+    path = out / f"a_{tensor}.pst"
+    stored = _RECASTS[tensor](read_pst(path))
+    write_pst(path, stored)
+    with pytest.raises(FormatError, match=rf"a_{tensor}\.pst: .* as {stored.dtype}"):
+        taxonomy, loaded = _read_set(kind, out)
+        if kind == "stack":
+            loaded[0].load(taxonomy)
