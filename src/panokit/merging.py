@@ -51,8 +51,12 @@ class MergeParams:
             raise ValidationError(f"t_cnf must lie in [0, 1], got {self.t_cnf}")
         if not 0.0 <= self.t_keep <= 1.0:
             raise ValidationError(f"t_keep must lie in [0, 1], got {self.t_keep}")
-        if self.min_area < 0:
-            raise ValidationError(f"min_area must be >= 0, got {self.min_area}")
+        _check_min_area(self.min_area)
+
+
+def _check_min_area(min_area: int) -> None:
+    if min_area < 0:
+        raise ValidationError(f"min_area must be >= 0, got {min_area}")
 
 
 def _new_id(segments: list[Segment], stack: MaskStack, i: int, cats, scores) -> int:
@@ -96,6 +100,11 @@ def _paint(
         canvas[visible] = _new_id(segments, stack, i, cats, scores)
 
 
+# Pixels per row strip of _first_max: the strip's float64 maximum and product
+# (512 KiB each) stay in a core's L2 cache. A 256x256 frame is one strip.
+_STRIP_PIXELS = 1 << 16
+
+
 def _first_max(
     masks: np.ndarray, rows: Sequence[int], weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -103,24 +112,37 @@ def _first_max(
     masks[rows[k]] * weights[rows[k]] when weights are given; ties go to the
     lowest k, as numpy's argmax over axis 0 breaks them.
 
-    Two sweeps over the rows, never building the (len(rows), H, W) stack: the
-    first takes the per-pixel maximum, the second walks the rows from last to
+    The frame is visited in strips of whole rows, about _STRIP_PIXELS pixels
+    each, and never as the (len(rows), H, W) stack. Per strip, one sweep
+    takes the per-pixel maximum and a second walks the rows from last to
     first and writes k wherever row k reaches it, so the lowest k lands last.
     A weighted value is a float32 row times a float64 scalar, the same float64
-    product as casting the stack first.
+    product as casting the stack first, formed per strip into one scratch
+    buffer. The working set is a strip's maximum, product and tie mask,
+    whatever len(rows) is.
     """
+    h, w = masks.shape[1:]
+    step = max(1, min(h, _STRIP_PIXELS // max(w, 1)))
+    dtype = masks.dtype if weights is None else np.result_type(masks, weights)
+    best = np.empty((step, w), dtype)
+    scratch = None if weights is None else np.empty((step, w), dtype)
+    tie = np.empty((step, w), bool)
+    winners = np.zeros((h, w), np.intp)
 
-    def value(r: int) -> np.ndarray:
-        return masks[r] if weights is None else masks[r] * weights[r]
+    def value(r: int, strip: slice, n: int) -> np.ndarray:
+        if scratch is None:
+            return masks[r, strip]
+        return np.multiply(masks[r, strip], weights[r], out=scratch[:n])
 
-    best = value(rows[0])
-    if weights is None:
-        best = best.copy()  # masks[r] is a read-only view
-    for r in rows[1:]:
-        np.maximum(best, value(r), out=best)
-    winners = np.zeros(masks.shape[1:], np.intp)
-    for k in range(len(rows) - 1, -1, -1):
-        np.copyto(winners, k, where=value(rows[k]) == best)
+    for y0 in range(0, h, step):
+        strip = slice(y0, min(y0 + step, h))
+        n = strip.stop - y0
+        top, eq, out = best[:n], tie[:n], winners[strip]
+        np.copyto(top, value(rows[0], strip, n))
+        for r in rows[1:]:
+            np.maximum(top, value(r, strip, n), out=top)
+        for k in range(len(rows) - 1, -1, -1):
+            np.copyto(out, k, where=np.equal(value(rows[k], strip, n), top, out=eq))
     return winners
 
 
@@ -199,11 +221,13 @@ def pixel_wise_argmax(
 
     The weighted variant ranks pixels by class probability times mask value.
     Ties go to the lowest mask index. Segments smaller than min_area are
-    voided. Same-category stuff segments are merged by default, matching the
-    detector-style baseline this reproduces.
+    voided; a negative min_area is a ValidationError. Same-category stuff
+    segments are merged by default, matching the detector-style baseline
+    this reproduces.
     """
     if stack.n == 0:
         raise ValidationError("pixel_wise_argmax needs at least one mask")
+    _check_min_area(min_area)
     cats, probs = predicted_labels(stack, taxonomy)
     segments: list[Segment] = []
     weights = probs if weighted else None

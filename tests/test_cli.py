@@ -414,16 +414,35 @@ def test_synth_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_merge_threads_match_sequential(tmp_path):
+def _assert_threads_match_sequential(tmp_path, synth_args, merge_args):
     data = tmp_path / "data"
-    main(["synth", "--seed", "2", "--images", "3", "--noise", "0.1", "--out", str(data)])
+    main(["synth", *synth_args, "--images", "3", "--noise", "0.1", "--out", str(data)])
     manifest = str(data / "manifest.json")
-    main(["merge", "--in", manifest, "--out", str(tmp_path / "seq")])
-    main(["merge", "--in", manifest, "--threads", "3", "--out", str(tmp_path / "par")])
+    for threads, out in (("1", "seq"), ("3", "par")):
+        argv = ["merge", "--in", manifest, *merge_args, "--threads", threads]
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
     for name in ("0000", "0001", "0002"):
-        assert (tmp_path / "seq" / f"{name}_ids.pst").read_bytes() == (
-            tmp_path / "par" / f"{name}_ids.pst"
-        ).read_bytes()
+        for suffix in ("_ids.pst", "_sem.pst"):
+            assert (tmp_path / "seq" / f"{name}{suffix}").read_bytes() == (
+                tmp_path / "par" / f"{name}{suffix}"
+            ).read_bytes()
+    assert (tmp_path / "seq" / "panoptic.json").read_bytes() == (
+        tmp_path / "par" / "panoptic.json"
+    ).read_bytes()
+
+
+def test_merge_threads_match_sequential(tmp_path):
+    _assert_threads_match_sequential(tmp_path, ["--seed", "2"], [])
+
+
+def test_argmax_weighted_threads_match_sequential_on_multi_strip_frames(tmp_path):
+    # 384 x 320 frames are 2 row strips of the fill kernel, the last one
+    # ragged (204 + 180 rows).
+    _assert_threads_match_sequential(
+        tmp_path,
+        ["--seed", "4", "--h", "384", "--w", "320"],
+        ["--strategy", "argmax-weighted"],
+    )
 
 
 def test_assign_writes_expected_layout(tmp_path):

@@ -18,6 +18,7 @@ from panokit import (
     random_stack,
 )
 
+from panokit import merging
 from panokit.merging import _first_max
 from panokit.scoring import confidence, predicted_labels, stack_scores
 
@@ -213,34 +214,64 @@ def _stacked_argmax(masks, rows, weights):
     return np.argmax(scores, axis=0)
 
 
+def _first_max_case(rng, case, n, h, w):
+    """n masks of h x w, their weights and a row subset. Quantized values make
+    ties common; -0.0 ties with 0.0. Every fourth case has weighted values
+    within a float32 rounding of each other, so only the float64 product
+    tells them apart. Every third case takes all rows, the next one row, the
+    next a sorted subset."""
+    if case % 4 == 3:
+        weights = rng.uniform(0.5, 1.0, n)
+        base = rng.uniform(0.0, 0.5, (h, w))
+        masks = (base * weights[0] / weights[:, None, None]).astype(np.float32)
+    else:
+        levels = int(rng.choice([2, 3, 5]))
+        masks = (rng.integers(0, levels, (n, h, w)) / (levels - 1)).astype(np.float32)
+        masks[(masks == 0) & (rng.random(masks.shape) < 0.5)] = -0.0
+        weights = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], n)
+    kind = case % 3
+    if kind == 0:
+        rows = range(n)
+    elif kind == 1:
+        rows = [int(rng.integers(n))]
+    else:
+        size = int(rng.integers(1, n + 1))
+        rows = sorted(int(r) for r in rng.choice(n, size, replace=False))
+    return masks, weights, rows
+
+
 def test_first_max_matches_stacked_argmax():
-    # Quantized values make ties common; -0.0 ties with 0.0. Every fourth case
-    # has weighted values within a float32 rounding of each other, so only
-    # the float64 product tells them apart.
     rng = np.random.default_rng(0)
     for case in range(2400):
         n = int(rng.integers(1, 7))
         h, w = (int(v) for v in rng.integers(1, 6, 2))
-        if case % 4 == 3:
-            weights = rng.uniform(0.5, 1.0, n)
-            base = rng.uniform(0.0, 0.5, (h, w))
-            masks = (base * weights[0] / weights[:, None, None]).astype(np.float32)
-        else:
-            levels = int(rng.choice([2, 3, 5]))
-            masks = (rng.integers(0, levels, (n, h, w)) / (levels - 1)).astype(np.float32)
-            masks[(masks == 0) & (rng.random(masks.shape) < 0.5)] = -0.0
-            weights = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], n)
-        kind = case % 3
-        if kind == 0:
-            rows = range(n)
-        elif kind == 1:
-            rows = [int(rng.integers(n))]
-        else:
-            size = int(rng.integers(1, n + 1))
-            rows = sorted(int(r) for r in rng.choice(n, size, replace=False))
+        masks, weights, rows = _first_max_case(rng, case, n, h, w)
         for wts in (None, weights):
             got = _first_max(masks, rows, wts)
             assert np.array_equal(got, _stacked_argmax(masks, rows, wts)), case
+
+
+def _strip_budgets(h, w):
+    """_STRIP_PIXELS values for an h x w frame: one-row strips (1, w - 1, w,
+    w + 1), two-row strips whose last strip is ragged when h is odd
+    (2w + 1), and one strip per frame (h * w)."""
+    return (1, w - 1, w, w + 1, 2 * w + 1, h * w)
+
+
+def test_first_max_matches_stacked_argmax_across_strips(monkeypatch):
+    rng = np.random.default_rng(12)
+    for case in range(600):
+        n = int(rng.integers(1, 7))
+        h, w = int(rng.integers(1, 10)), int(rng.integers(1, 14))
+        masks, weights, rows = _first_max_case(rng, case, n, h, w)
+        for budget in _strip_budgets(h, w):
+            monkeypatch.setattr(merging, "_STRIP_PIXELS", budget)
+            for wts in (None, weights):
+                got = _first_max(masks, rows, wts)
+                assert np.array_equal(got, _stacked_argmax(masks, rows, wts)), (
+                    case,
+                    budget,
+                )
 
 
 def test_argmax_never_builds_the_stack():
@@ -255,6 +286,30 @@ def test_argmax_never_builds_the_stack():
         finally:
             tracemalloc.stop()
         assert peak < n * h * w * 8 / 2, weighted
+
+
+def test_first_max_working_set_is_a_strip():
+    # Beyond its winners, the kernel holds a strip's maximum, product and tie
+    # mask, never a full-frame float64 value.
+    n, h, w = 16, 512, 512
+    rng = np.random.default_rng(1)
+    masks = rng.random((n, h, w)).astype(np.float32)
+    weights = rng.random(n)
+    for wts in (weights, None):
+        tracemalloc.start()
+        try:
+            winners = _first_max(masks, range(n), wts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - winners.nbytes < h * w * 8, wts is None
+
+
+def test_argmax_rejects_negative_min_area():
+    stack = make_stack(np.full((1, 4, 4), 0.9), [1], [1.0])
+    for weighted in (False, True):
+        with pytest.raises(ValidationError, match="min_area must be >= 0, got -5"):
+            pixel_wise_argmax(stack, DEFAULT_TAXONOMY, weighted, -5)
 
 
 def _things_only(stack):
@@ -308,45 +363,61 @@ def _reference_sem(stack, ids, segments):
     return sem
 
 
-def test_fill_phase_matches_naive_reference():
+def _check_fill_phase(stack, label, min_areas=(0, 2, 5)):
+    """pixel_wise_argmax (plain and weighted) and heuristic_merge against
+    _reference_fill for each min_area; returns the count of voided rows.
+    label names the case in failure messages."""
+    h, w = stack.height, stack.width
     beta_zero = MergeParams(score=ScoreParams(beta=0.0))
+    voided = 0
+    _, probs = predicted_labels(stack, DEFAULT_TAXONOMY)
+    stuff = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
+    painted = mask_wise_merge(_things_only(stack), DEFAULT_TAXONOMY, beta_zero)
+    for min_area in min_areas:
+        for weights in (None, probs):
+            everywhere = np.ones((h, w), bool)
+            ids, kept = _reference_fill(
+                stack, range(stack.n), weights, everywhere, min_area, 1
+            )
+            segments = _reference_segments(stack, kept, 1)
+            got = pixel_wise_argmax(
+                stack, DEFAULT_TAXONOMY, weights is not None, min_area, False
+            )
+            assert np.array_equal(got.ids, ids), (label, min_area)
+            assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
+            assert list(got.segments) == segments
+            voided += stack.n - len(kept)
+        got = heuristic_merge(stack, DEFAULT_TAXONOMY, MergeParams(min_area=min_area))
+        ids = painted.ids.copy()
+        segments = list(painted.segments)
+        if stuff:
+            first = len(segments) + 1
+            fill, kept = _reference_fill(
+                stack, stuff, None, painted.ids == 0, min_area, first
+            )
+            ids += fill
+            segments += _reference_segments(stack, kept, first)
+        assert np.array_equal(got.ids, ids), (label, min_area)
+        assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
+        assert list(got.segments) == segments
+    return voided
+
+
+def test_fill_phase_matches_naive_reference():
     voided = 0
     for seed in range(300):
         h, w = (5, 7) if seed % 2 else (8, 8)
-        stack = random_stack(seed, h, w, 2 + seed % 7)
-        _, probs = predicted_labels(stack, DEFAULT_TAXONOMY)
-        stuff = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
-        painted = mask_wise_merge(_things_only(stack), DEFAULT_TAXONOMY, beta_zero)
-        for min_area in (0, 2, 5):
-            for weights in (None, probs):
-                everywhere = np.ones((h, w), bool)
-                ids, kept = _reference_fill(
-                    stack, range(stack.n), weights, everywhere, min_area, 1
-                )
-                segments = _reference_segments(stack, kept, 1)
-                got = pixel_wise_argmax(
-                    stack, DEFAULT_TAXONOMY, weights is not None, min_area, False
-                )
-                assert np.array_equal(got.ids, ids), (seed, min_area)
-                assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
-                assert list(got.segments) == segments
-                voided += stack.n - len(kept)
-            got = heuristic_merge(
-                stack, DEFAULT_TAXONOMY, MergeParams(min_area=min_area)
-            )
-            ids = painted.ids.copy()
-            segments = list(painted.segments)
-            if stuff:
-                first = len(segments) + 1
-                fill, kept = _reference_fill(
-                    stack, stuff, None, painted.ids == 0, min_area, first
-                )
-                ids += fill
-                segments += _reference_segments(stack, kept, first)
-            assert np.array_equal(got.ids, ids), (seed, min_area)
-            assert np.array_equal(got.sem, _reference_sem(stack, ids, segments))
-            assert list(got.segments) == segments
+        voided += _check_fill_phase(random_stack(seed, h, w, 2 + seed % 7), seed)
     assert voided > 0
+
+
+def test_fill_phase_matches_naive_reference_across_strips(monkeypatch):
+    for seed in range(60):
+        h, w = 1 + seed % 9, 1 + (seed * 5) % 13
+        stack = random_stack(seed, h, w, 2 + seed % 7)
+        for budget in _strip_budgets(h, w):
+            monkeypatch.setattr(merging, "_STRIP_PIXELS", budget)
+            _check_fill_phase(stack, (seed, budget), (0, 2))
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan])
