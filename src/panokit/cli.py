@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -46,6 +47,7 @@ from .scoring import ScoreParams
 from .synth import SceneParams, generate_scene
 from .types import (
     DEFAULT_TAXONOMY,
+    CategorySpec,
     MaskStack,
     MultiScaleAttn,
     PanopticMap,
@@ -106,7 +108,7 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic image set")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--images", type=int, default=1)
+    p_synth.add_argument("--images", type=_positive_int, default=1)
     p_synth.add_argument("--n", type=int, default=4, help="things per image")
     p_synth.add_argument("--h", type=int, default=64)
     p_synth.add_argument("--w", type=int, default=64)
@@ -183,7 +185,7 @@ def build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="time merging strategies")
     p_bench.add_argument("--in", dest="input", help="stack manifest (default: synthetic)")
-    p_bench.add_argument("--images", type=int, default=100)
+    p_bench.add_argument("--images", type=_positive_int, default=100)
     p_bench.add_argument("--h", type=int, default=256)
     p_bench.add_argument("--w", type=int, default=256)
     p_bench.add_argument("--masks", type=int, default=100, help="masks per synthetic image")
@@ -271,11 +273,23 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _check_image_ids(
-    pred_src: str, gt_src: str, pred_ids: Sequence[str], gt_ids: Sequence[str]
+def _check_pair(
+    pred_src: str,
+    gt_src: str,
+    pred_taxonomy: Sequence[CategorySpec],
+    gt_taxonomy: Sequence[CategorySpec],
+    pred_ids: Sequence[str],
+    gt_ids: Sequence[str],
 ) -> None:
-    """Raise a ValidationError naming both sources unless their image ids
-    agree, listing ids missing from pred and extra in pred."""
+    """Raise a ValidationError naming both sources unless their taxonomies
+    list the same categories and their image ids agree, listing the
+    categories that differ or the ids missing from pred and extra in pred."""
+    differ = sorted({c.id for c in set(pred_taxonomy) ^ set(gt_taxonomy)})
+    if differ:
+        raise ValidationError(
+            f"taxonomies disagree between {pred_src} and {gt_src} "
+            f"on category ids {differ}"
+        )
     pred_set, gt_set = set(pred_ids), set(gt_ids)
     missing = [i for i in gt_ids if i not in pred_set]
     extra = [i for i in pred_ids if i not in gt_set]
@@ -287,11 +301,14 @@ def _check_image_ids(
 
 
 def _read_pairs(pred_dir: str, gt_dir: str):
-    """Read a pred and a gt panoptic set whose image ids must agree."""
+    """Read a pred and a gt panoptic set whose taxonomies and image ids
+    must agree."""
     taxonomy, gt_items = read_panoptic_set(gt_dir)
-    _, pred_items = read_panoptic_set(pred_dir)
+    pred_taxonomy, pred_items = read_panoptic_set(pred_dir)
     preds = dict(pred_items)
-    _check_image_ids(pred_dir, gt_dir, list(preds), [i for i, _ in gt_items])
+    _check_pair(
+        pred_dir, gt_dir, pred_taxonomy, taxonomy, list(preds), [i for i, _ in gt_items]
+    )
     return taxonomy, [(preds[i], gt) for i, gt in gt_items]
 
 
@@ -302,9 +319,7 @@ def _cmd_eval(args) -> int:
         lambda pair: pq(pair[0], pair[1], taxonomy, args.void_forgive),
         pairs,
     )
-    total = PqReport()
-    for report in reports:
-        total = total.merge(report)
+    total = reduce(PqReport.merge, reports, PqReport())
     aggregates = total.aggregates(taxonomy)
     by_name = {c.id: c for c in taxonomy}
     per_category = [
@@ -315,10 +330,7 @@ def _cmd_eval(args) -> int:
             "pq": counts.pq,
             "sq": counts.sq,
             "rq": counts.rq,
-            "iou_sum": counts.iou_sum,
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
+            **vars(counts),
         }
         for cat, counts in sorted(total.per_category.items())
         if counts.present
@@ -367,14 +379,19 @@ def _thing_queries(stack: MaskStack) -> list[tuple[int, MatchQuery]]:
 
 def _cmd_assign(args) -> int:
     taxonomy, entries = read_stack_manifest(args.pred)
-    _, gt_items = read_panoptic_set(args.gt)
+    gt_taxonomy, gt_items = read_panoptic_set(args.gt)
     gt_by_id = dict(gt_items)
     columns = taxonomy_columns(taxonomy)
     stuff = stuff_ids(taxonomy)
     weights = LossWeights(*args.lambdas)
     mode = "box" if args.location_mode == "box" else "mass_center"
-    _check_image_ids(
-        args.pred, args.gt, [e.image_id for e in entries], list(gt_by_id)
+    _check_pair(
+        args.pred,
+        args.gt,
+        taxonomy,
+        gt_taxonomy,
+        [e.image_id for e in entries],
+        list(gt_by_id),
     )
     images_out = []
     for entry in entries:
@@ -472,16 +489,9 @@ def _cmd_stats(args) -> int:
     rows = decile_table(merged)
     print(format_decile_table(rows))
     if args.out:
+        # p_t sits after n_stuff: the repeated keys keep their first position
         per_query = {
-            str(q): {
-                "n_things": c.n_things,
-                "n_stuff": c.n_stuff,
-                "p_t": c.p_t,
-                "tp_things": c.tp_things,
-                "fp_things": c.fp_things,
-                "tp_stuff": c.tp_stuff,
-                "fp_stuff": c.fp_stuff,
-            }
+            str(q): {"n_things": c.n_things, "n_stuff": c.n_stuff, "p_t": c.p_t, **vars(c)}
             for q, c in sorted(merged.per_query.items())
         }
         _write_json(

@@ -382,6 +382,20 @@ def read_stack_manifest(
     ]
 
 
+def _check_categories(
+    where: str, segments: Sequence[Segment], taxonomy: Sequence[CategorySpec]
+) -> None:
+    """Raise a ValidationError prefixed by where unless every segment's
+    category is in the set's taxonomy."""
+    known = taxonomy_columns(taxonomy)
+    for seg in segments:
+        if seg.category_id not in known:
+            raise ValidationError(
+                f"{where}: segment {seg.instance_id} has category "
+                f"{seg.category_id}, which the taxonomy does not list"
+            )
+
+
 def write_panoptic_set(
     out_dir: PathLike,
     taxonomy: Sequence[CategorySpec],
@@ -390,6 +404,7 @@ def write_panoptic_set(
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
     for image_id, pmap in items:
+        _check_categories(f"image {image_id}", pmap.segments, taxonomy)
         bounds = (("category", pmap.sem, 16), ("instance", pmap.ids, 31))
         for name, values, bits in bounds:  # the stored unsigned ids would wrap
             if values.min(initial=0) < 0 or values.max(initial=0) >= 1 << bits:
@@ -407,6 +422,7 @@ def read_panoptic_set(
     taxonomy, images = _read_set(path, _PANOPTIC_SET)
     items = []
     for image_id, (sem_path, ids_path), segments in images:
+        _check_categories(f"{ids_path}: image {image_id}", segments, taxonomy)
         sem = _SEM.load(sem_path)
         ids = _IDS.load(ids_path)
         if ids.max(initial=0) >= 2**31:

@@ -8,28 +8,48 @@ mostly covering void are forgiven rather than counted as false positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import Sequence
 
 from .types import CategorySpec, PanopticMap, ValidationError, _pair_counts, thing_ids
 
+class _Counts:
+    """A dataclass of counters: merging adds them field by field into a new
+    instance of the same class."""
+
+    def merge(self, other: "_Counts") -> "_Counts":
+        return type(self)(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
+        )
+
+
+def _fold(left: dict, right: dict, zero: _Counts) -> dict:
+    """Merge two keyed counter dicts, keys in first-seen order. Every value
+    is a new counter, so the result shares none with its inputs."""
+    out: dict = {}
+    for counters in (left, right):
+        for key, counts in counters.items():
+            out[key] = out.get(key, zero).merge(counts)
+    return out
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Summed left to right (builtin sum compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
+
 
 @dataclass
-class CategoryCounts:
+class CategoryCounts(_Counts):
     """Accumulated match statistics for one category."""
 
     iou_sum: float = 0.0
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def merge(self, other: "CategoryCounts") -> "CategoryCounts":
-        return CategoryCounts(
-            self.iou_sum + other.iou_sum,
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-        )
 
     @property
     def present(self) -> bool:
@@ -57,46 +77,25 @@ class PqReport:
     per_category: dict[int, CategoryCounts] = field(default_factory=dict)
 
     def merge(self, other: "PqReport") -> "PqReport":
-        out = {cat: CategoryCounts(c.iou_sum, c.tp, c.fp, c.fn)
-               for cat, c in self.per_category.items()}
-        for cat, counts in other.per_category.items():
-            out[cat] = out.get(cat, CategoryCounts()).merge(counts)
-        return PqReport(out)
+        return PqReport(_fold(self.per_category, other.per_category, CategoryCounts()))
 
     def aggregates(self, taxonomy: Sequence[CategorySpec]) -> dict:
+        """Every aggregate is a mean over the present categories of one
+        group (all, things, stuff), summed in per_category order."""
         things = thing_ids(taxonomy)
-        overall = {"pq": 0.0, "sq": 0.0, "rq": 0.0, "categories": 0}
-        split = {
-            True: {"pq": 0.0, "categories": 0},
-            False: {"pq": 0.0, "categories": 0},
-        }
-        for cat, counts in self.per_category.items():
-            if not counts.present:
-                continue
-            overall["pq"] += counts.pq
-            overall["sq"] += counts.sq
-            overall["rq"] += counts.rq
-            overall["categories"] += 1
-            bucket = split[cat in things]
-            bucket["pq"] += counts.pq
-            bucket["categories"] += 1
-        n = overall["categories"]
-        if n:
-            overall["pq"] /= n
-            overall["sq"] /= n
-            overall["rq"] /= n
-        for bucket in split.values():
-            if bucket["categories"]:
-                bucket["pq"] /= bucket["categories"]
+        present = [(cat, c) for cat, c in self.per_category.items() if c.present]
+        every = [c for _, c in present]
+        thing = [c for cat, c in present if cat in things]
+        stuff = [c for cat, c in present if cat not in things]
         return {
-            "pq": overall["pq"],
-            "sq": overall["sq"],
-            "rq": overall["rq"],
-            "categories": n,
-            "pq_things": split[True]["pq"],
-            "things_categories": split[True]["categories"],
-            "pq_stuff": split[False]["pq"],
-            "stuff_categories": split[False]["categories"],
+            "pq": _mean([c.pq for c in every]),
+            "sq": _mean([c.sq for c in every]),
+            "rq": _mean([c.rq for c in every]),
+            "categories": len(every),
+            "pq_things": _mean([c.pq for c in thing]),
+            "things_categories": len(thing),
+            "pq_stuff": _mean([c.pq for c in stuff]),
+            "stuff_categories": len(stuff),
         }
 
 
@@ -183,7 +182,7 @@ def pq(
 
 
 @dataclass
-class QueryCounts:
+class QueryCounts(_Counts):
     """Emission and precision counters for one query."""
 
     n_things: int = 0
@@ -197,16 +196,6 @@ class QueryCounts:
     def p_t(self) -> float:
         return self.n_things / (self.n_things + self.n_stuff)
 
-    def merge(self, other: "QueryCounts") -> "QueryCounts":
-        return QueryCounts(
-            self.n_things + other.n_things,
-            self.n_stuff + other.n_stuff,
-            self.tp_things + other.tp_things,
-            self.fp_things + other.fp_things,
-            self.tp_stuff + other.tp_stuff,
-            self.fp_stuff + other.fp_stuff,
-        )
-
 
 @dataclass
 class QueryStats:
@@ -215,10 +204,7 @@ class QueryStats:
     per_query: dict[int, QueryCounts] = field(default_factory=dict)
 
     def merge(self, other: "QueryStats") -> "QueryStats":
-        out = {q: QueryCounts(**vars(c)) for q, c in self.per_query.items()}
-        for q, counts in other.per_query.items():
-            out[q] = out.get(q, QueryCounts()).merge(counts)
-        return QueryStats(out)
+        return QueryStats(_fold(self.per_query, other.per_query, QueryCounts()))
 
 
 def query_stats(
@@ -257,44 +243,35 @@ def query_stats(
     return stats
 
 
+def _decile_row(label: str, group: Sequence[QueryCounts]) -> dict:
+    """One decile_table row: the group's query count and its merged stuff
+    and things TP, TP+FP and precision (None without predictions)."""
+    c = reduce(QueryCounts.merge, group, QueryCounts())
+    stuff_pred = c.tp_stuff + c.fp_stuff
+    things_pred = c.tp_things + c.fp_things
+    return {
+        "bin": label,
+        "queries": len(group),
+        "stuff_tp": c.tp_stuff,
+        "stuff_pred": stuff_pred,
+        "things_tp": c.tp_things,
+        "things_pred": things_pred,
+        "stuff_precision": c.tp_stuff / stuff_pred if stuff_pred else None,
+        "things_precision": c.tp_things / things_pred if things_pred else None,
+    }
+
+
 def decile_table(stats: QueryStats) -> list[dict]:
     """Ten P_t bins ([0.0,0.1) ... [0.9,1.0]) plus a total row; each row
     reports query count and stuff/things TP, TP+FP, and precision."""
-    bins = [
-        {
-            "bin": f"[{k / 10:.1f}, {(k + 1) / 10:.1f}{']' if k == 9 else ')'}",
-            "queries": 0,
-            "stuff_tp": 0,
-            "stuff_pred": 0,
-            "things_tp": 0,
-            "things_pred": 0,
-        }
-        for k in range(10)
-    ]
+    bins: list[list[QueryCounts]] = [[] for _ in range(10)]
     for counts in stats.per_query.values():
-        row = bins[min(9, int(counts.p_t * 10))]
-        row["queries"] += 1
-        row["stuff_tp"] += counts.tp_stuff
-        row["stuff_pred"] += counts.tp_stuff + counts.fp_stuff
-        row["things_tp"] += counts.tp_things
-        row["things_pred"] += counts.tp_things + counts.fp_things
-    total = {
-        "bin": "total",
-        "queries": sum(r["queries"] for r in bins),
-        "stuff_tp": sum(r["stuff_tp"] for r in bins),
-        "stuff_pred": sum(r["stuff_pred"] for r in bins),
-        "things_tp": sum(r["things_tp"] for r in bins),
-        "things_pred": sum(r["things_pred"] for r in bins),
-    }
-    rows = bins + [total]
-    for row in rows:
-        row["stuff_precision"] = (
-            row["stuff_tp"] / row["stuff_pred"] if row["stuff_pred"] else None
-        )
-        row["things_precision"] = (
-            row["things_tp"] / row["things_pred"] if row["things_pred"] else None
-        )
-    return rows
+        bins[min(9, int(counts.p_t * 10))].append(counts)
+    rows = [
+        _decile_row(f"[{k / 10:.1f}, {(k + 1) / 10:.1f}{']' if k == 9 else ')'}", bin_)
+        for k, bin_ in enumerate(bins)
+    ]
+    return rows + [_decile_row("total", list(stats.per_query.values()))]
 
 
 def format_decile_table(rows: list[dict]) -> str:

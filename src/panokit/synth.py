@@ -26,6 +26,7 @@ from .types import (
     Segment,
     ValidationError,
     check_nonnegative,
+    token_counts,
 )
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -98,11 +99,7 @@ class SceneParams:
     overlap_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.height % 32 or self.width % 32:
-            raise ValidationError(
-                f"height and width must be divisible by 32, got "
-                f"{self.height}x{self.width}"
-            )
+        token_counts(self.height, self.width)  # positive multiples of 32
         if self.n_things < 0:
             raise ValidationError(f"n_things must be >= 0, got {self.n_things}")
         if self.stuff_bands < 1:

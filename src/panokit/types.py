@@ -166,11 +166,12 @@ def validate_stack(
             f"class_probs have {stack.class_probs.shape[1]} columns, "
             f"taxonomy has {len(taxonomy)} categories"
         )
-    # min() and max() propagate NaN, and a NaN bound fails both comparisons
-    if n and not (stack.masks.min() >= 0.0 and stack.masks.max() <= 1.0):
-        raise ValidationError("mask values must be finite and lie in [0, 1]")
-    if n and not (stack.class_probs.min() >= 0.0 and stack.class_probs.max() <= 1.0):
-        raise ValidationError("class probabilities must be finite and lie in [0, 1]")
+    # min() and max() propagate NaN, and a NaN bound fails both comparisons;
+    # the in-range initial values let them reduce zero-size arrays
+    ranged = ((stack.masks, "mask values"), (stack.class_probs, "class probabilities"))
+    for values, what in ranged:
+        if not (values.min(initial=1.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
+            raise ValidationError(f"{what} must be finite and lie in [0, 1]")
     for prov in stack.provenance:
         if prov.is_thing:
             if prov.fixed_category is not None:
@@ -307,10 +308,11 @@ def _pair_counts(
 
 
 def token_counts(height: int, width: int) -> tuple[int, int, int]:
-    """Token counts of the three attention scales (1/8, 1/16, 1/32)."""
-    if height % 32 or width % 32:
+    """Token counts of the three attention scales (1/8, 1/16, 1/32); height
+    and width must be positive multiples of 32, so every scale exists."""
+    if height < 32 or width < 32 or height % 32 or width % 32:
         raise ValidationError(
-            f"height and width must be divisible by 32, got {height}x{width}"
+            f"height and width must be positive multiples of 32, got {height}x{width}"
         )
     return (
         (height // 8) * (width // 8),

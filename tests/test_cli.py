@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,25 @@ from scipy.optimize import linear_sum_assignment
 
 from panokit import manifest
 from panokit.cli import build_parser, main
-from panokit.manifest import read_panoptic_set, read_stack_manifest, write_panoptic_set
+from panokit.manifest import (
+    read_panoptic_set,
+    read_stack_manifest,
+    write_panoptic_set,
+    write_stack_set,
+)
 from panokit.pst import read_pst, write_pst
 from panokit import (
     DEFAULT_TAXONOMY,
+    CategorySpec,
     LossWeights,
+    MaskStack,
     MatchQuery,
     MatchTarget,
     PanopticMap,
+    SceneParams,
     Segment,
+    ValidationError,
+    generate_scene,
     bbox_of,
     mass_center,
     matching_cost,
@@ -717,3 +728,126 @@ def test_fuse_shape_errors_name_the_file(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / (bad + '.pst')}: ")
     assert not out.exists()
+
+
+def _shifted_gt(data, out):
+    """Write data's ground truth under a taxonomy whose ids are 10 higher."""
+    taxonomy, items = read_panoptic_set(data / "gt")
+    shifted = tuple(CategorySpec(c.id + 10, c.name, c.is_thing) for c in taxonomy)
+    maps = [
+        (
+            image_id,
+            PanopticMap(
+                np.where(gt.sem > 0, gt.sem + 10, 0),
+                gt.ids,
+                tuple(replace(s, category_id=s.category_id + 10) for s in gt.segments),
+            ),
+        )
+        for image_id, gt in items
+    ]
+    write_panoptic_set(out, shifted, maps)
+
+
+@pytest.mark.parametrize("command", ["eval", "stats", "assign"])
+def test_pred_and_gt_under_different_taxonomies_is_data_error(
+    tmp_path, capsys, command
+):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "4", "--images", "2", "--out", str(data)])
+    main(["merge", "--in", str(data), "--out", str(tmp_path / "pred")])
+    _shifted_gt(data, tmp_path / "gt")
+    pred = data if command == "assign" else tmp_path / "pred"
+    capsys.readouterr()
+    code = main(
+        [
+            command, "--pred", str(pred), "--gt", str(tmp_path / "gt"),
+            "--out", str(tmp_path / "out.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"taxonomies disagree between {pred} and {tmp_path / 'gt'}" in err
+    assert "on category ids [1, 2, 3, 4, 5, 6, 7, 8, 11," in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_segment_category_outside_the_taxonomy_is_data_error(
+    tmp_path, capsys, command
+):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "4", "--images", "1", "--out", str(data)])
+    taxonomy, [(image_id, gt)] = read_panoptic_set(data / "gt")
+    stuff = gt.segments[-1]
+    relabeled = PanopticMap(
+        np.where(gt.ids == stuff.instance_id, 42, gt.sem),
+        gt.ids,
+        (*gt.segments[:-1], replace(stuff, category_id=42)),
+    )
+    extended = (*taxonomy, CategorySpec(42, "extra", False))
+    write_panoptic_set(tmp_path / "set", extended, [(image_id, relabeled)])
+    manifest.save_taxonomy(tmp_path / "set" / "taxonomy.json", taxonomy)
+    capsys.readouterr()
+    code = main(
+        [
+            command, "--pred", str(tmp_path / "set"), "--gt", str(data / "gt"),
+            "--out", str(tmp_path / "out.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "set" / f"{image_id}_ids.pst") in err
+    assert f"segment {stuff.instance_id} has category 42" in err
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 32), (3, 32, 0)])
+def test_zero_size_frames_merge_to_empty_maps(tmp_path, capsys, shape):
+    _, stack = generate_scene(SceneParams(seed=2, n_things=1))
+    empty = MaskStack(np.zeros(shape), stack.class_probs[:3], stack.provenance[:3])
+    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("0000", empty)])
+    void = PanopticMap(np.zeros(shape[1:]), np.zeros(shape[1:]), ())
+    write_panoptic_set(tmp_path / "gt", DEFAULT_TAXONOMY, [("0000", void)])
+    for strategy in ("maskwise", "argmax", "argmax-weighted", "heuristic"):
+        pred = tmp_path / strategy
+        argv = ["merge", "--in", str(tmp_path / "set"), "--out", str(pred)]
+        assert main([*argv, "--strategy", strategy]) == 0, capsys.readouterr().err
+        [(_, pmap)] = read_panoptic_set(pred)[1]
+        assert pmap.ids.shape == shape[1:] and pmap.segments == ()
+        report = tmp_path / f"{strategy}.json"
+        argv = ["eval", "--pred", str(pred), "--gt", str(tmp_path / "gt")]
+        assert main([*argv, "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["aggregates"]["categories"] == 0
+
+
+@pytest.mark.parametrize("size", ["0", "-32"])
+def test_image_sizes_must_be_positive_multiples_of_32(tmp_path, capsys, size):
+    message = f"height and width must be positive multiples of 32, got {size}x64"
+    with pytest.raises(ValidationError, match=message):
+        SceneParams(seed=0, height=int(size))
+    with pytest.raises(ValidationError, match=message):
+        token_counts(int(size), 64)
+    with pytest.raises(ValidationError, match="got 64x"):
+        token_counts(64, int(size))
+    l1, l2, l3 = token_counts(32, 64)
+    write_pst(tmp_path / "attn.pst", np.zeros((l1 + l2 + l3, 2), np.float32))
+    fuse = [
+        "fuse", "--attn", str(tmp_path / "attn.pst"), "--height", size,
+        "--width", "64", "--seed-head", "1", "--out", str(tmp_path / "m.pst"),
+    ]
+    synth = ["synth", "--h", size, "--out", str(tmp_path / "data")]
+    bench = ["bench", "--images", "1", "--h", size, "--w", "64", "--masks", "3"]
+    for argv in (synth, bench, fuse):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "m.pst").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_image_count_is_usage_error(tmp_path, capsys, value):
+    synth = ["synth", "--out", str(tmp_path / "data")]
+    bench = ["bench", "--h", "32", "--w", "32", "--masks", "3"]
+    for argv in (synth, bench):
+        assert main([*argv, "--images", value]) == 1
+        assert "--images" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import pytest
 
 from panokit import (
     DEFAULT_TAXONOMY,
+    CategorySpec,
     FormatError,
     MaskStack,
     PanopticMap,
@@ -159,6 +161,25 @@ def test_panoptic_writer_rejects_ids_outside_the_stored_range(
     with pytest.raises(ValidationError, match=rf"image a: {message}"):
         write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", bad)])
     assert not (tmp_path / "maps" / "panoptic.json").exists()
+
+
+def test_panoptic_sets_reject_categories_outside_their_taxonomy(tmp_path):
+    gt, _ = _scene(0)
+    stuff = gt.segments[-1]
+    relabeled = PanopticMap(
+        np.where(gt.ids == stuff.instance_id, 42, gt.sem),
+        gt.ids,
+        (*gt.segments[:-1], dataclasses.replace(stuff, category_id=42)),
+    )
+    message = rf"segment {stuff.instance_id} has category 42, which the taxonomy"
+    with pytest.raises(ValidationError, match=rf"^image a: {message}"):
+        write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", relabeled)])
+    assert not (tmp_path / "maps").exists()
+    extended = (*DEFAULT_TAXONOMY, CategorySpec(42, "extra", False))
+    write_panoptic_set(tmp_path / "maps", extended, [("a", relabeled)])
+    save_taxonomy(tmp_path / "maps" / "taxonomy.json", DEFAULT_TAXONOMY)
+    with pytest.raises(ValidationError, match=rf"a_ids\.pst: image a: {message}"):
+        read_panoptic_set(tmp_path / "maps")
 
 
 def test_stack_validation_on_load_names_the_file(tmp_path):

@@ -5,9 +5,12 @@ from panokit import (
     DEFAULT_TAXONOMY,
     PanopticMap,
     PqReport,
+    QueryStats,
     Segment,
     ValidationError,
     generate_scene,
+    mask_wise_merge,
+    random_stack,
     SceneParams,
     pq,
     query_stats,
@@ -134,17 +137,20 @@ def test_thing_stuff_split_aggregates():
 
 
 def test_report_merge_is_associative_fold():
-    maps = []
+    reports, stats = [], []
     for seed in (1, 2, 3):
-        gt, _ = generate_scene(SceneParams(seed=seed, height=32, width=32))
-        maps.append(gt)
-    reports = [pq(m, m, DEFAULT_TAXONOMY) for m in maps]
-    left = reports[0].merge(reports[1]).merge(reports[2])
-    right = reports[0].merge(reports[1].merge(reports[2]))
-    assert left.per_category.keys() == right.per_category.keys()
-    for cat in left.per_category:
-        a, b = left.per_category[cat], right.per_category[cat]
-        assert (a.iou_sum, a.tp, a.fp, a.fn) == (b.iou_sum, b.tp, b.fp, b.fn)
+        params = SceneParams(seed=seed, height=32, width=32, noise_sigma=0.3)
+        gt, stack = generate_scene(params)
+        reports.append(pq(gt, gt, DEFAULT_TAXONOMY))  # IoUs of 1.0 sum exactly
+        stats.append(query_stats(mask_wise_merge(stack, DEFAULT_TAXONOMY), gt, DEFAULT_TAXONOMY))
+    for parts, counters in ((reports, "per_category"), (stats, "per_query")):
+        left = parts[0].merge(parts[1]).merge(parts[2])
+        right = parts[0].merge(parts[1].merge(parts[2]))
+        assert getattr(left, counters) == getattr(right, counters)
+        assert list(getattr(left, counters)) == list(getattr(right, counters))
+        inputs = {id(c) for part in parts for c in getattr(part, counters).values()}
+        for merged in (left, right, parts[0].merge(parts[1])):
+            assert inputs.isdisjoint(id(c) for c in getattr(merged, counters).values())
 
 
 def test_query_stats_thing_only_pt_one():
@@ -373,3 +379,95 @@ def test_pq_report_empty_aggregates():
     agg = PqReport().aggregates(DEFAULT_TAXONOMY)
     assert agg["categories"] == 0
     assert agg["pq"] == 0.0
+
+
+def _naive_mean(values):
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total / len(values) if values else 0.0
+
+
+def _naive_aggregates(report):
+    """Per-category PQ, SQ and RQ from the raw counts, averaged per group in
+    per_category order."""
+    things = {c.id for c in DEFAULT_TAXONOMY if c.is_thing}
+    groups = {"all": [], "things": [], "stuff": []}
+    for cat, c in report.per_category.items():
+        if c.tp == 0 and c.fp == 0 and c.fn == 0:
+            continue
+        sq = c.iou_sum / c.tp if c.tp else 0.0
+        rq = c.tp / (c.tp + 0.5 * c.fp + 0.5 * c.fn)
+        entry = (sq * rq, sq, rq)
+        groups["all"].append(entry)
+        groups["things" if cat in things else "stuff"].append(entry)
+    return {
+        "pq": _naive_mean([e[0] for e in groups["all"]]),
+        "sq": _naive_mean([e[1] for e in groups["all"]]),
+        "rq": _naive_mean([e[2] for e in groups["all"]]),
+        "categories": len(groups["all"]),
+        "pq_things": _naive_mean([e[0] for e in groups["things"]]),
+        "things_categories": len(groups["things"]),
+        "pq_stuff": _naive_mean([e[0] for e in groups["stuff"]]),
+        "stuff_categories": len(groups["stuff"]),
+    }
+
+
+def _naive_decile_table(per_query):
+    """Rows tallied query by query from raw counter dicts."""
+    keys = ("queries", "stuff_tp", "stuff_pred", "things_tp", "things_pred")
+    labels = [f"[{k / 10:.1f}, {(k + 1) / 10:.1f})" for k in range(9)]
+    rows = [dict.fromkeys(keys, 0) for _ in range(11)]
+    for c in per_query.values():
+        k = min(9, int(c["n_things"] / (c["n_things"] + c["n_stuff"]) * 10))
+        for row in (rows[k], rows[10]):
+            row["queries"] += 1
+            row["stuff_tp"] += c["tp_stuff"]
+            row["stuff_pred"] += c["tp_stuff"] + c["fp_stuff"]
+            row["things_tp"] += c["tp_things"]
+            row["things_pred"] += c["tp_things"] + c["fp_things"]
+    out = []
+    for label, row in zip([*labels, "[0.9, 1.0]", "total"], rows):
+        out.append({"bin": label, **row})
+        for kind in ("stuff", "things"):
+            pred = row[f"{kind}_pred"]
+            out[-1][f"{kind}_precision"] = row[f"{kind}_tp"] / pred if pred else None
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_aggregates_and_decile_table_match_naive_reference_bit_for_bit(seed):
+    # random_stack merges score against a scene of the same size; each
+    # scene's own noisy stack adds matches
+    images = []
+    for i in range(4):
+        params = SceneParams(seed=seed * 4 + i, height=32, width=64, noise_sigma=0.2)
+        gt, stack = generate_scene(params)
+        images.append((mask_wise_merge(stack, DEFAULT_TAXONOMY), gt))
+        noise = random_stack(seed * 4 + i, 32, 64, 12)
+        images.append((mask_wise_merge(noise, DEFAULT_TAXONOMY), gt))
+    reports = [pq(pred, gt, DEFAULT_TAXONOMY) for pred, gt in images]
+    stats = [query_stats(pred, gt, DEFAULT_TAXONOMY) for pred, gt in images]
+    total, merged = PqReport(), QueryStats()
+    for report, stat in zip(reports, stats):
+        total, merged = total.merge(report), merged.merge(stat)
+    counts, per_query = {}, {}
+    for report in reports:
+        for cat, c in report.per_category.items():
+            acc = counts.setdefault(cat, [0.0, 0, 0, 0])
+            for pos, value in enumerate((c.iou_sum, c.tp, c.fp, c.fn)):
+                acc[pos] = acc[pos] + value
+    for stat in stats:
+        for q, c in stat.per_query.items():
+            acc = per_query.setdefault(q, dict.fromkeys(vars(c), 0))
+            for key, value in vars(c).items():
+                acc[key] += value
+    folded = {cat: [c.iou_sum, c.tp, c.fp, c.fn] for cat, c in total.per_category.items()}
+    assert folded == counts and list(folded) == list(counts)
+    assert {q: vars(c) for q, c in merged.per_query.items()} == per_query
+    aggregates = total.aggregates(DEFAULT_TAXONOMY)
+    assert aggregates == _naive_aggregates(total)  # floats compared with ==
+    assert aggregates["things_categories"] and aggregates["stuff_categories"]
+    rows = decile_table(merged)
+    assert rows == _naive_decile_table(per_query)
+    assert sum(1 for row in rows[:10] if row["queries"]) >= 2

@@ -49,6 +49,15 @@ def test_nan_class_probability_rejected():
         validate_stack(stack, DEFAULT_TAXONOMY)
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0)])
+def test_zero_size_frames_validate_and_nan_probabilities_still_fail(shape):
+    stack = make_stack(np.zeros(shape), [1, 6], [0.9, 0.8])
+    assert validate_stack(stack, DEFAULT_TAXONOMY) is stack
+    stack = make_stack(np.zeros(shape), [1, 6], [0.9, np.nan])
+    with pytest.raises(ValidationError, match="class probabilities must be finite"):
+        validate_stack(stack, DEFAULT_TAXONOMY)
+
+
 def test_stuff_without_fixed_category_rejected():
     stack = make_stack(np.full((1, 4, 4), 0.5), [1])
     prov = (QueryProvenance(0, False, None),)
