@@ -14,13 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .losses import _LOG_FLOOR, LossWeights, dice_loss, focal_loss
+from .losses import (
+    _DICE_EPS, _FOCAL_ALPHA, _FOCAL_GAMMA, _LOG_FLOOR, LossWeights, dice_loss, focal_loss
+)
 from .types import QueryProvenance, ValidationError, _extent, binarize
-
-# the focal_loss and dice_loss defaults that matching_cost uses
-_FOCAL_GAMMA = 2.0
-_FOCAL_ALPHA = 0.25
-_DICE_EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,6 @@ def hungarian(costs: np.ndarray) -> Assignment:
         raise ValidationError(
             f"need at least as many queries as targets, got {rows}x{cols}"
         )
-    if cols == 0:
-        return Assignment((), frozenset(range(rows)))
     row_idx, col_idx = linear_sum_assignment(c)
     pairs = tuple(sorted((int(q), int(t)) for q, t in zip(row_idx, col_idx)))
     matched = {q for q, _ in pairs}

@@ -76,19 +76,10 @@ class FuseHead:
 def split_attn(attn: MultiScaleAttn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """De-flatten tokens into three row-major spatial maps, finest first:
     (H/8, W/8, h), (H/16, W/16, h), (H/32, W/32, h)."""
-    l1, l2, l3 = token_counts(attn.base_height, attn.base_width)
-    if attn.tokens.shape != (l1 + l2 + l3, attn.heads):
-        raise ValidationError(
-            f"token count {attn.tokens.shape} does not match "
-            f"{attn.base_height}x{attn.base_width} with {attn.heads} heads"
-        )
-    h8, w8 = attn.base_height // 8, attn.base_width // 8
-    h16, w16 = attn.base_height // 16, attn.base_width // 16
-    h32, w32 = attn.base_height // 32, attn.base_width // 32
-    a3 = attn.tokens[:l1].reshape(h8, w8, attn.heads)
-    a4 = attn.tokens[l1 : l1 + l2].reshape(h16, w16, attn.heads)
-    a5 = attn.tokens[l1 + l2 :].reshape(h32, w32, attn.heads)
-    return a3, a4, a5
+    h, w = attn.base_height, attn.base_width
+    l1, l2, _ = token_counts(h, w)
+    scales = zip(np.split(attn.tokens, [l1, l1 + l2]), (8, 16, 32))
+    return tuple(t.reshape(h // s, w // s, attn.heads) for t, s in scales)
 
 
 def flatten_attn(a3: np.ndarray, a4: np.ndarray, a5: np.ndarray) -> MultiScaleAttn:

@@ -11,27 +11,28 @@ themselves.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
-from .merging import MergeParams, heuristic_merge, mask_wise_merge, pixel_wise_argmax
+from .merging import heuristic_merge, mask_wise_merge, pixel_wise_argmax
 from .types import CategorySpec, MaskStack, ValidationError
 
 BENCH_SCHEMA = "bench-report/1"
 
-STRATEGIES = ("maskwise", "argmax", "argmax-weighted", "heuristic")
+# each strategy's library call, at its default parameters
+_MERGES = {
+    "maskwise": mask_wise_merge,
+    "argmax": pixel_wise_argmax,
+    "argmax-weighted": partial(pixel_wise_argmax, weighted=True),
+    "heuristic": heuristic_merge,
+}
+
+STRATEGIES = tuple(_MERGES)
 
 
-def _runner(strategy: str, taxonomy: Sequence[CategorySpec], params: MergeParams):
-    if strategy == "maskwise":
-        return lambda stack: mask_wise_merge(stack, taxonomy, params)
-    if strategy == "argmax":
-        return lambda stack: pixel_wise_argmax(stack, taxonomy, False, params.min_area)
-    if strategy == "argmax-weighted":
-        return lambda stack: pixel_wise_argmax(stack, taxonomy, True, params.min_area)
-    if strategy == "heuristic":
-        return lambda stack: heuristic_merge(stack, taxonomy, params)
-    raise ValidationError(f"unknown strategy {strategy!r}")
+def _ms_per_image(seconds: float, images: int) -> float:
+    return 1000.0 * seconds / images if images else 0.0
 
 
 def bench(
@@ -50,38 +51,37 @@ def bench(
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not strategies:
         raise ValidationError("no strategies given")
-    runners = [_runner(s, taxonomy, MergeParams()) for s in strategies]
+    for strategy in strategies:
+        if strategy not in _MERGES:
+            raise ValidationError(f"unknown strategy {strategy!r}")
+    merges = [_MERGES[s] for s in strategies]
     totals = [[0.0] * repetitions for _ in strategies]
     counts = [0] * repetitions
     for rep in range(repetitions):
         for _, stack in source():
-            for si, run in enumerate(runners):
+            for si, merge in enumerate(merges):
                 start = perf_counter()
-                run(stack)
+                merge(stack, taxonomy)
                 totals[si][rep] += perf_counter() - start
             counts[rep] += 1
-    rows = []
-    for si, strategy in enumerate(strategies):
-        for rep in range(repetitions):
-            seconds = totals[si][rep]
-            images = counts[rep]
-            rows.append(
-                {
-                    "strategy": strategy,
-                    "repetition": rep,
-                    "images": images,
-                    "seconds": seconds,
-                    "ms_per_image": 1000.0 * seconds / images if images else 0.0,
-                }
-            )
+    rows = [
+        {
+            "strategy": strategy,
+            "repetition": rep,
+            "images": counts[rep],
+            "seconds": seconds,
+            "ms_per_image": _ms_per_image(seconds, counts[rep]),
+        }
+        for strategy, seconds_by_rep in zip(strategies, totals)
+        for rep, seconds in enumerate(seconds_by_rep)
+    ]
     summary = {}
-    for strategy in strategies:
-        times = [r["seconds"] for r in rows if r["strategy"] == strategy]
-        images = next(r["images"] for r in rows if r["strategy"] == strategy)
-        mean = sum(times) / len(times)
+    for strategy in dict.fromkeys(strategies):  # a repeated name: all its rows
+        seconds = [t for s, row in zip(strategies, totals) if s == strategy for t in row]
+        mean = sum(seconds) / len(seconds)
         summary[strategy] = {
             "seconds_mean": mean,
-            "ms_per_image": 1000.0 * mean / images if images else 0.0,
+            "ms_per_image": _ms_per_image(mean, counts[0]),
         }
     report = {
         "schema": BENCH_SCHEMA,

@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument(
         "--strategies", type=_strategy_list, default=("maskwise", "argmax")
     )
-    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.add_argument("--reps", type=_positive_int, default=1)
     p_bench.add_argument("--out", help="report JSON path")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -213,27 +213,27 @@ def _map_images(threads: int, fn, items: Sequence):
         return list(pool.map(fn, items))
 
 
-def _cmd_synth(args) -> int:
-    taxonomy = DEFAULT_TAXONOMY
-    gts = []
-    stacks = []
+def _scenes(args, **scene) -> Iterator[tuple[str, PanopticMap, MaskStack]]:
+    """(image id, ground truth, stack) of args.images synthetic scenes of
+    args.h x args.w, seeded args.seed, args.seed + 1, ..., drawn one at a
+    time; scene holds the remaining SceneParams fields."""
     for i in range(args.images):
         params = SceneParams(
             seed=args.seed + i,
             height=args.h,
             width=args.w,
-            n_things=args.n,
-            stuff_bands=args.bands,
             noise_sigma=args.noise,
-            overlap_bias=args.overlap_bias,
+            **scene,
         )
-        gt, stack = generate_scene(params, taxonomy)
-        image_id = f"{i:04d}"
-        gts.append((image_id, gt))
-        stacks.append((image_id, stack))
+        yield (f"{i:04d}", *generate_scene(params, DEFAULT_TAXONOMY))
+
+
+def _cmd_synth(args) -> int:
+    scene = dict(n_things=args.n, stuff_bands=args.bands, overlap_bias=args.overlap_bias)
+    image_ids, gts, stacks = zip(*_scenes(args, **scene))
     out = Path(args.out)
-    manifest = write_stack_set(out, taxonomy, stacks)
-    write_panoptic_set(out / "gt", taxonomy, gts)
+    manifest = write_stack_set(out, DEFAULT_TAXONOMY, list(zip(image_ids, stacks)))
+    write_panoptic_set(out / "gt", DEFAULT_TAXONOMY, list(zip(image_ids, gts)))
     print(f"wrote {args.images} images to {manifest} (ground truth in {out / 'gt'})")
     return 0
 
@@ -483,9 +483,11 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_stats(args) -> int:
     taxonomy, pairs = _read_pairs(args.pred, args.gt)
-    merged = QueryStats()
-    for pred, gt in pairs:
-        merged = merged.merge(query_stats(pred, gt, taxonomy))
+    merged = reduce(
+        QueryStats.merge,
+        (query_stats(pred, gt, taxonomy) for pred, gt in pairs),
+        QueryStats(),
+    )
     rows = decile_table(merged)
     print(format_decile_table(rows))
     if args.out:
@@ -510,7 +512,7 @@ def _cmd_bench(args) -> int:
 
     else:
         taxonomy = DEFAULT_TAXONOMY
-        bands = min(2, len(stuff_ids(taxonomy)))
+        bands = 2
         n_things = args.masks - bands
         if n_things < 0:
             raise ValidationError(
@@ -518,16 +520,8 @@ def _cmd_bench(args) -> int:
             )
 
         def source() -> Iterable[tuple[str, MaskStack]]:
-            for i in range(args.images):
-                params = SceneParams(
-                    seed=args.seed + i,
-                    height=args.h,
-                    width=args.w,
-                    n_things=n_things,
-                    stuff_bands=bands,
-                    noise_sigma=args.noise,
-                )
-                yield f"{i:04d}", generate_scene(params, taxonomy)[1]
+            scenes = _scenes(args, n_things=n_things, stuff_bands=bands)
+            return ((image_id, stack) for image_id, _, stack in scenes)
 
     report = bench(source, taxonomy, args.strategies, args.reps)
     print(format_bench_table(report))
@@ -544,10 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PanokitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PanokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

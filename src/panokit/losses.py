@@ -21,6 +21,10 @@ from .types import (
 )
 
 _LOG_FLOOR = 1e-12
+# focal terms of Lin et al. (arXiv 1708.02002), dice smoothing of DETR's
+_FOCAL_GAMMA = 2.0
+_FOCAL_ALPHA = 0.25
+_DICE_EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,8 @@ class LossWeights:
 def focal_loss(
     pred: np.ndarray,
     target: Optional[int],
-    gamma: float = 2.0,
-    alpha_bal: float = 0.25,
+    gamma: float = _FOCAL_GAMMA,
+    alpha_bal: float = _FOCAL_ALPHA,
 ) -> float:
     """Sigmoid-style focal loss summed over classes.
 
@@ -71,25 +75,28 @@ def focal_loss(
     return total
 
 
-def dice_loss(pred: np.ndarray, gt: np.ndarray, eps: float = 1.0) -> float:
-    """1 - (2*sum(pred*gt) + eps) / (sum(pred) + sum(gt) + eps)."""
+def _dice_terms(pred, gt, eps: float) -> tuple[np.ndarray, float, float]:
+    """gt as float64, and the numerator and denominator of dice_loss."""
     p = np.asarray(pred, np.float64)
     g = np.asarray(gt, np.float64)
     if p.shape != g.shape:
         raise ValidationError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
     num = 2.0 * float((p * g).sum()) + eps
     den = float(p.sum()) + float(g.sum()) + eps
+    return g, num, den
+
+
+def dice_loss(pred: np.ndarray, gt: np.ndarray, eps: float = _DICE_EPS) -> float:
+    """1 - (2*sum(pred*gt) + eps) / (sum(pred) + sum(gt) + eps)."""
+    _, num, den = _dice_terms(pred, gt, eps)
     return 1.0 - num / den
 
 
-def dice_loss_grad(pred: np.ndarray, gt: np.ndarray, eps: float = 1.0) -> np.ndarray:
+def dice_loss_grad(
+    pred: np.ndarray, gt: np.ndarray, eps: float = _DICE_EPS
+) -> np.ndarray:
     """Analytic d dice_loss / d pred, elementwise; provided for test use."""
-    p = np.asarray(pred, np.float64)
-    g = np.asarray(gt, np.float64)
-    if p.shape != g.shape:
-        raise ValidationError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
-    num = 2.0 * float((p * g).sum()) + eps
-    den = float(p.sum()) + float(g.sum()) + eps
+    g, num, den = _dice_terms(pred, gt, eps)
     return (num - 2.0 * g * den) / den**2
 
 

@@ -344,14 +344,7 @@ class StackEntry:
     def load(self, taxonomy: Sequence[CategorySpec]) -> MaskStack:
         masks = _MASKS.load(self.masks_path)
         probs = _CLASS_PROBS.load(self.probs_path)
-        if masks.ndim != 3:
-            raise FormatError(f"{self.masks_path}: expected a (N, H, W) tensor")
         try:
-            if probs.ndim != 2 or probs.shape[0] != masks.shape[0]:
-                raise ValidationError(
-                    f"masks carry {masks.shape[0]} entries, "
-                    f"class_probs file has shape {probs.shape}"
-                )
             return validate_stack(MaskStack(masks, probs, self.provenance), taxonomy)
         except ValidationError as exc:
             raise ValidationError(

@@ -159,7 +159,9 @@ def _fill(
     """The fill phase: label each pixel with its _first_max row. Given a
     painted ids, claim only its unpainted pixels, in place. Rows claiming
     fewer than max(min_area, 1) pixels are voided; the rest get ids in row
-    order. Returns the ids raster."""
+    order. Returns the ids raster, which no row claims when rows is empty."""
+    if not rows:
+        return np.zeros((stack.height, stack.width), np.int32) if ids is None else ids
     winners = _first_max(stack.masks, rows, weights)
     if ids is not None:
         unpainted = ids == VOID
@@ -221,12 +223,10 @@ def pixel_wise_argmax(
 
     The weighted variant ranks pixels by class probability times mask value.
     Ties go to the lowest mask index. Segments smaller than min_area are
-    voided; a negative min_area is a ValidationError. Same-category stuff
-    segments are merged by default, matching the detector-style baseline
-    this reproduces.
+    voided; a negative min_area is a ValidationError. A stack with no masks
+    gives an all-void map. Same-category stuff segments are merged by
+    default, matching the detector-style baseline this reproduces.
     """
-    if stack.n == 0:
-        raise ValidationError("pixel_wise_argmax needs at least one mask")
     _check_min_area(min_area)
     cats, probs = predicted_labels(stack, taxonomy)
     segments: list[Segment] = []
@@ -255,8 +255,7 @@ def heuristic_merge(
     thing_idx = [i for i, p in enumerate(stack.provenance) if p.is_thing]
     _paint(stack, probs, cats, thing_idx, params, ids, segments)
     stuff_idx = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
-    if stuff_idx:
-        _fill(stack, probs, cats, stuff_idx, None, params.min_area, segments, ids)
+    _fill(stack, probs, cats, stuff_idx, None, params.min_area, segments, ids)
     return _finish(ids, segments, taxonomy, params.merge_same_stuff)
 
 

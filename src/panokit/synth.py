@@ -26,6 +26,7 @@ from .types import (
     Segment,
     ValidationError,
     check_nonnegative,
+    taxonomy_columns,
     token_counts,
 )
 
@@ -255,6 +256,7 @@ def generate_scene(
     clamped gaussian noise) and class probabilities peaked on the true
     class, ordered so that confidence order equals depth order.
     """
+    columns = taxonomy_columns(taxonomy)
     thing_cats = [c.id for c in taxonomy if c.is_thing]
     stuff_cats = [c.id for c in taxonomy if not c.is_thing]
     if params.n_things > 0 and not thing_cats:
@@ -330,15 +332,12 @@ def generate_scene(
     boxes = [s.bounds(height, width) for s in shapes]
     sem = np.zeros((height, width), np.int32)
     ids = np.zeros((height, width), np.int32)
-    segments: list[Segment] = []
-    next_id = 1
     for t in range(n - 1, -1, -1):  # deepest first; shallower overwrite
         y0, y1, x0, x1 = boxes[t]
         sem[y0:y1, x0:x1][windows[t]] = cats[t]
         ids[y0:y1, x0:x1][windows[t]] = t + 1
-    if n > 0:
-        segments = [Segment(t + 1, cats[t]) for t in range(n)]
-        next_id = n + 1
+    segments = [Segment(t + 1, cats[t]) for t in range(n)]
+    next_id = n + 1
     claimed = ids > 0
     for j, (y0, y1) in enumerate(band_rows):
         region = np.zeros((height, width), bool)
@@ -363,7 +362,6 @@ def generate_scene(
             masks + params.noise_sigma * noise.astype(np.float32), 0.0, 1.0
         )
 
-    columns = {c.id: pos for pos, c in enumerate(taxonomy)}
     n_classes = len(taxonomy)
     probs = (
         rng.uniforms(n_masks * n_classes).reshape(n_masks, n_classes) * 0.15 + 0.02

@@ -253,12 +253,13 @@ class PanopticMap:
 
     def validate(self) -> "PanopticMap":
         """Check void coupling, ids covered by segments, and one category per
-        id; the last check reads the (id, category) pairs of _pair_counts."""
+        id; the first and last checks read the (id, category) _pair_counts."""
         if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
             raise ValidationError(
                 f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"
             )
-        if not np.array_equal(self.sem == VOID, self.ids == VOID):
+        pair_ids, pair_cats, _ = _pair_counts(self.ids, self.sem)
+        if ((pair_ids == VOID) != (pair_cats == VOID)).any():
             raise ValidationError("sem and ids disagree on which pixels are void")
         by_id: dict[int, int] = {}
         for seg in self.segments:
@@ -267,7 +268,6 @@ class PanopticMap:
             if seg.instance_id in by_id:
                 raise ValidationError(f"instance id {seg.instance_id} listed twice")
             by_id[seg.instance_id] = seg.category_id
-        pair_ids, pair_cats, _ = _pair_counts(self.ids, self.sem)
         present, first = np.unique(pair_ids, return_index=True)
         ends = [*first[1:].tolist(), pair_ids.size]
         for inst, lo, hi in zip(present.tolist(), first.tolist(), ends):

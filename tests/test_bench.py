@@ -44,3 +44,20 @@ def test_comparison_absent_without_argmax():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValidationError):
         bench(_source, DEFAULT_TAXONOMY, ("quantum",))
+
+
+def test_repeated_strategy_is_summarized_over_all_of_its_rows():
+    strategies = ("maskwise", "argmax", "maskwise")
+    report = bench(_source, DEFAULT_TAXONOMY, strategies, repetitions=2)
+    rows = report["rows"]
+    assert [(r["strategy"], r["repetition"]) for r in rows] == [
+        (s, rep) for s in strategies for rep in (0, 1)
+    ]
+    assert list(report["summary"]) == ["maskwise", "argmax"]
+    for name, summary in report["summary"].items():
+        seconds = [r["seconds"] for r in rows if r["strategy"] == name]
+        assert len(seconds) == 2 * strategies.count(name)
+        assert summary["seconds_mean"] == sum(seconds) / len(seconds)
+        assert summary["ms_per_image"] == pytest.approx(
+            summary["seconds_mean"] / 3 * 1000.0
+        )

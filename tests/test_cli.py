@@ -654,6 +654,26 @@ def test_nonpositive_threads_is_usage_error(tmp_path, capsys, value):
         assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_reps_is_usage_error(capsys, value):
+    bench = ["bench", "--images", "1", "--h", "32", "--w", "32", "--masks", "3"]
+    assert main([*bench, "--reps", value]) == 1
+    assert "--reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["2-d masks", "probs count"])
+def test_malformed_stack_tensors_are_data_errors(tmp_path, capsys, defect):
+    _, stack = generate_scene(SceneParams(seed=4, n_things=4))
+    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("0000", stack)])
+    if defect == "2-d masks":
+        write_pst(tmp_path / "set" / "0000_masks.pst", stack.masks[0])
+    else:
+        write_pst(tmp_path / "set" / "0000_probs.pst", stack.class_probs[:3])
+    argv = ["merge", "--in", str(tmp_path / "set"), "--out", str(tmp_path / "pred")]
+    assert main(argv) == 2
+    assert str(tmp_path / "set" / "0000_masks.pst") in capsys.readouterr().err
+
+
 def test_bench_cli_runs_small(tmp_path, capsys):
     code = main(
         [

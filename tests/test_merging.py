@@ -19,6 +19,8 @@ from panokit import (
 )
 
 from panokit import merging
+from panokit.cli import main
+from panokit.manifest import read_panoptic_set, write_stack_set
 from panokit.merging import _first_max
 from panokit.scoring import confidence, predicted_labels, stack_scores
 
@@ -163,10 +165,27 @@ def test_argmax_min_area_voids_small_segments():
     assert len(out.segments) == 1
 
 
-def test_argmax_empty_stack_rejected():
-    stack = make_stack(np.zeros((0, 4, 4), np.float32), [])
-    with pytest.raises(ValidationError):
-        pixel_wise_argmax(stack, DEFAULT_TAXONOMY)
+def test_every_strategy_merges_a_stack_without_masks_to_one_void_map(
+    tmp_path, capsys
+):
+    stack = make_stack(np.zeros((0, 4, 5), np.float32), [])
+    maps = [
+        mask_wise_merge(stack, DEFAULT_TAXONOMY),
+        pixel_wise_argmax(stack, DEFAULT_TAXONOMY),
+        pixel_wise_argmax(stack, DEFAULT_TAXONOMY, weighted=True),
+        heuristic_merge(stack, DEFAULT_TAXONOMY),
+    ]
+    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("0000", stack)])
+    for strategy in ("maskwise", "argmax", "argmax-weighted", "heuristic"):
+        argv = ["merge", "--in", str(tmp_path / "set"), "--out", str(tmp_path / strategy)]
+        assert main([*argv, "--strategy", strategy]) == 0, capsys.readouterr().err
+        [(_, pmap)] = read_panoptic_set(tmp_path / strategy)[1]
+        maps.append(pmap)
+    for pmap in maps:
+        assert pmap.segments == ()
+        assert pmap.sem.dtype == pmap.ids.dtype == np.int32
+        np.testing.assert_array_equal(pmap.sem, np.zeros((4, 5), np.int32))
+        np.testing.assert_array_equal(pmap.ids, np.zeros((4, 5), np.int32))
 
 
 def test_argmax_merge_stuff_default_on():

@@ -3,6 +3,7 @@ import pytest
 
 from panokit import (
     DEFAULT_TAXONOMY,
+    CategorySpec,
     MergeParams,
     Rng,
     SceneParams,
@@ -156,6 +157,12 @@ def test_amodal_masks_extend_under_occluders():
 def test_scene_dims_must_be_multiple_of_32():
     with pytest.raises(ValidationError):
         SceneParams(seed=0, height=48, width=64)
+
+
+def test_scene_rejects_a_taxonomy_with_a_duplicate_id():
+    taxonomy = (*DEFAULT_TAXONOMY, CategorySpec(1, "box again", True))
+    with pytest.raises(ValidationError, match="duplicate category id 1"):
+        generate_scene(SceneParams(seed=1), taxonomy)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -138,11 +138,34 @@ def test_category_id_must_be_positive():
 
 
 def test_panoptic_map_void_coupling_enforced():
-    sem = np.zeros((4, 4), np.int32)
-    ids = np.zeros((4, 4), np.int32)
-    sem[0, 0] = 1  # category painted without an instance id
-    with pytest.raises(ValidationError):
-        PanopticMap(sem, ids, ()).validate()
+    message = "^sem and ids disagree on which pixels are void$"
+
+    def rasters():  # PanopticMap locks its arrays, so each map gets new ones
+        sem = np.zeros((4, 4), np.int32)
+        ids = np.zeros((4, 4), np.int32)
+        sem[:2] = 1
+        ids[:2] = 1
+        return sem, ids
+
+    segments = (Segment(1, 1),)
+    PanopticMap(*rasters(), segments).validate()
+    sem, ids = rasters()
+    sem[3, 3] = 1  # a category without an instance id
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(sem, ids, segments).validate()
+    sem, ids = rasters()
+    ids[3, 3] = 1  # an instance id without a category
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(sem, ids, segments).validate()
+    # coupling is checked before the segment records: id 2 has no record,
+    # id 1 is listed twice, and a listed id is not 1-based
+    for records in ((), (Segment(1, 1), Segment(1, 1)), (Segment(0, 1),)):
+        sem, ids = rasters()
+        sem[3, 3] = 2
+        ids[2:3] = 2
+        sem[2:3] = 2
+        with pytest.raises(ValidationError, match=message):
+            PanopticMap(sem, ids, records).validate()
 
 
 def test_panoptic_map_segment_bookkeeping():
