@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -239,24 +240,23 @@ def _cmd_synth(args) -> int:
 
 
 def _merge_runner(args):
-    score = ScoreParams(alpha=args.alpha, beta=args.beta)
-    merge_stuff = args.merge_stuff
+    strategy = args.strategy
+    argmax = strategy in ("argmax", "argmax-weighted")
     params = MergeParams(
         t_cnf=args.t_cnf,
         t_keep=args.t_keep,
-        score=score,
-        merge_same_stuff=merge_stuff == "on",
+        score=ScoreParams(alpha=args.alpha, beta=args.beta),
+        # auto merges for the argmax strategies, the detector-style baselines
+        merge_same_stuff={"on": True, "off": False, "auto": argmax}[args.merge_stuff],
         min_area=args.min_area,
     )
-    strategy = args.strategy
     if strategy == "maskwise":
         return lambda stack, tax: mask_wise_merge(stack, tax, params)
     if strategy == "heuristic":
         return lambda stack, tax: heuristic_merge(stack, tax, params)
     weighted = strategy == "argmax-weighted"
-    argmax_merge = merge_stuff != "off"  # the detector-style baseline default
     return lambda stack, tax: pixel_wise_argmax(
-        stack, tax, weighted, args.min_area, argmax_merge
+        stack, tax, weighted, params.min_area, params.merge_same_stuff
     )
 
 
@@ -302,23 +302,35 @@ def _check_pair(
 
 def _read_pairs(pred_dir: str, gt_dir: str):
     """Read a pred and a gt panoptic set whose taxonomies and image ids
-    must agree."""
+    must agree, as (image id, pred, gt) triples in gt order."""
     taxonomy, gt_items = read_panoptic_set(gt_dir)
     pred_taxonomy, pred_items = read_panoptic_set(pred_dir)
     preds = dict(pred_items)
     _check_pair(
         pred_dir, gt_dir, pred_taxonomy, taxonomy, list(preds), [i for i, _ in gt_items]
     )
-    return taxonomy, [(preds[i], gt) for i, gt in gt_items]
+    return taxonomy, [(i, preds[i], gt) for i, gt in gt_items]
+
+
+@contextmanager
+def _naming_image(args, image_id: str) -> Iterator[None]:
+    """Prefix the --pred and --gt sources and image_id to a ValidationError
+    that the library calls inside raise on that image's data."""
+    try:
+        yield
+    except ValidationError as exc:
+        prefix = f"{args.pred}, {args.gt}: image {image_id}"
+        raise ValidationError(f"{prefix}: {exc}") from exc
 
 
 def _cmd_eval(args) -> int:
     taxonomy, pairs = _read_pairs(args.pred, args.gt)
-    reports = _map_images(
-        args.threads,
-        lambda pair: pq(pair[0], pair[1], taxonomy, args.void_forgive),
-        pairs,
-    )
+
+    def image_pq(image_id, pred, gt):
+        with _naming_image(args, image_id):
+            return pq(pred, gt, taxonomy, args.void_forgive)
+
+    reports = _map_images(args.threads, lambda item: image_pq(*item), pairs)
     total = reduce(PqReport.merge, reports, PqReport())
     aggregates = total.aggregates(taxonomy)
     by_name = {c.id: c for c in taxonomy}
@@ -418,14 +430,15 @@ def _cmd_assign(args) -> int:
                 )
             )
             target_ids.append(seg.instance_id)
-        costs = build_cost_matrix(
-            [q for _, q in queries], targets, weights, mode, args.normalize
-        )
         stuff_queries = [p for p in stack.provenance if not p.is_thing]
         present = frozenset(
             seg.category_id for seg in gt.segments if seg.category_id in stuff
         )
-        result = decoupled_assign(costs, stuff_queries, present)
+        with _naming_image(args, entry.image_id):
+            costs = build_cost_matrix(
+                [q for _, q in queries], targets, weights, mode, args.normalize
+            )
+            result = decoupled_assign(costs, stuff_queries, present)
         row_to_query = [q for q, _ in queries]
         images_out.append(
             {
@@ -456,6 +469,8 @@ def _cmd_fuse(args) -> int:
     if tokens.ndim not in (2, 3):
         raise ValidationError(f"{args.attn}: expected (L, h) or (N, L, h) tokens")
     heads = int(tokens.shape[-1])
+    if heads == 0:
+        raise ValidationError(f"{args.attn}: tokens carry no heads: {tokens.shape}")
     length = sum(token_counts(args.height, args.width))
     if tokens.shape[-2] != length:
         raise ValidationError(
@@ -483,10 +498,13 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_stats(args) -> int:
     taxonomy, pairs = _read_pairs(args.pred, args.gt)
+
+    def image_stats(image_id, pred, gt):
+        with _naming_image(args, image_id):
+            return query_stats(pred, gt, taxonomy)
+
     merged = reduce(
-        QueryStats.merge,
-        (query_stats(pred, gt, taxonomy) for pred, gt in pairs),
-        QueryStats(),
+        QueryStats.merge, (image_stats(*item) for item in pairs), QueryStats()
     )
     rows = decile_table(merged)
     print(format_decile_table(rows))

@@ -120,8 +120,8 @@ def deep_supervised_loss(
 
 def dynamic_lambda(thing_amount: float, stuff_amount: float) -> tuple[float, float]:
     """Proportional (lambda_things, lambda_stuff); the pair sums to 1."""
-    if thing_amount < 0 or stuff_amount < 0:
-        raise ValidationError("amounts must be nonnegative")
+    check_nonnegative("thing amount", thing_amount)
+    check_nonnegative("stuff amount", stuff_amount)
     total = thing_amount + stuff_amount
     if total == 0:
         raise ValidationError("cannot weight an image with no thing or stuff content")

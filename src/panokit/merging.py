@@ -2,12 +2,12 @@
 
 mask_wise_merge paints masks in descending confidence order and is the
 primary strategy; pixel_wise_argmax (plain and probability-weighted) and
-heuristic_merge are the baselines it is compared against. All of them build
-one canvas, an int32 ids raster (0 = void) and its segment records, from two
-phases: _paint (score order, t_cnf, t_keep) and _fill (per-pixel first-max
+heuristic_merge are the baselines it is compared against. Each builds one
+_Canvas, an int32 ids raster (0 = void) with its segment records, by two
+phases: paint (score order, t_cnf, t_keep) and fill (per-pixel first-max
 labelling, min_area). mask_wise_merge paints, pixel_wise_argmax fills, and
 heuristic_merge paints things, then fills the unpainted pixels with stuff.
-sem is derived from ids and the segment records once, at the end.
+The canvas's finish derives sem from ids and the records once, at the end.
 """
 
 from __future__ import annotations
@@ -59,47 +59,6 @@ def _check_min_area(min_area: int) -> None:
         raise ValidationError(f"min_area must be >= 0, got {min_area}")
 
 
-def _new_id(segments: list[Segment], stack: MaskStack, i: int, cats, scores) -> int:
-    """Record mask i as the next Segment and return its instance id: ids are
-    1-based, in the order segments are made."""
-    query = stack.provenance[i].query_index
-    segments.append(Segment(len(segments) + 1, int(cats[i]), query, float(scores[i])))
-    return len(segments)
-
-
-def _paint(
-    stack: MaskStack,
-    scores: np.ndarray,
-    cats: np.ndarray,
-    rows: Sequence[int],
-    params: MergeParams,
-    ids: np.ndarray,
-    segments: list[Segment],
-) -> None:
-    """The paint phase: paint rows in place onto the unpainted pixels of ids,
-    in descending score order, ties by (category id, query index) ascending,
-    skipping masks below t_cnf or whose visible fraction is below t_keep.
-    Each mask is binarized, counted and painted inside its window only."""
-    order = sorted(
-        rows, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
-    )
-    for i in order:
-        if scores[i] < params.t_cnf:
-            continue
-        window = stack.windows[i]
-        cover = binarize(stack.masks[i][window])
-        area = int(np.count_nonzero(cover))
-        if area == 0:
-            # no paintable pixels; also keeps the kept-fraction well-defined
-            continue
-        canvas = ids[window]  # a view: painting it paints ids
-        visible = cover & (canvas == VOID)
-        visible_area = int(np.count_nonzero(visible))
-        if visible_area == 0 or visible_area / area < params.t_keep:
-            continue
-        canvas[visible] = _new_id(segments, stack, i, cats, scores)
-
-
 # Pixels per row strip of _first_max: the strip's float64 maximum and product
 # (512 KiB each) stay in a core's L2 cache. A 256x256 frame is one strip.
 _STRIP_PIXELS = 1 << 16
@@ -146,49 +105,82 @@ def _first_max(
     return winners
 
 
-def _fill(
-    stack: MaskStack,
-    scores: np.ndarray,
-    cats: np.ndarray,
-    rows: Sequence[int],
-    weights: Optional[np.ndarray],
-    min_area: int,
-    segments: list[Segment],
-    ids: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The fill phase: label each pixel with its _first_max row. Given a
-    painted ids, claim only its unpainted pixels, in place. Rows claiming
-    fewer than max(min_area, 1) pixels are voided; the rest get ids in row
-    order. Returns the ids raster, which no row claims when rows is empty."""
-    if not rows:
-        return np.zeros((stack.height, stack.width), np.int32) if ids is None else ids
-    winners = _first_max(stack.masks, rows, weights)
-    if ids is not None:
-        unpainted = ids == VOID
-        winners = winners[unpainted]
-    areas = np.bincount(winners.ravel(), minlength=len(rows))
-    id_of = np.zeros(len(rows), np.int32)
-    for k in np.flatnonzero(areas >= max(min_area, 1)):
-        id_of[k] = _new_id(segments, stack, rows[k], cats, scores)
-    if ids is None:
-        return id_of[winners]
-    ids[unpainted] = id_of[winners]
-    return ids
+class _Canvas:
+    """One stack's int32 ids raster (0 = void) and its segment records;
+    instance ids are 1-based, in the order segments are made."""
 
+    def __init__(self, stack: MaskStack, cats: np.ndarray, scores: np.ndarray) -> None:
+        self.stack = stack
+        self.cats = cats
+        self.scores = scores
+        self.ids = np.zeros((stack.height, stack.width), np.int32)
+        self.segments: list[Segment] = []
 
-def _finish(
-    ids: np.ndarray,
-    segments: list[Segment],
-    taxonomy: Sequence[CategorySpec],
-    merge_stuff: bool,
-) -> PanopticMap:
-    """Derive sem from ids and the segment records, then merge same-category
-    stuff when asked."""
-    cat_of = np.array([VOID, *(s.category_id for s in segments)], np.int32)
-    out = PanopticMap(cat_of[ids], ids, tuple(segments))
-    if merge_stuff:
-        out = merge_same_category_stuff(out, taxonomy)
-    return out
+    def _new_id(self, i: int) -> int:
+        """Record mask i as the next Segment and return its instance id."""
+        query = self.stack.provenance[i].query_index
+        self.segments.append(
+            Segment(len(self.segments) + 1, int(self.cats[i]), query, float(self.scores[i]))
+        )
+        return len(self.segments)
+
+    def paint(self, rows: Sequence[int], params: MergeParams) -> None:
+        """The paint phase: paint rows onto the unpainted pixels, in
+        descending score order, ties by (category id, query index) ascending,
+        skipping masks below t_cnf or whose visible fraction is below t_keep.
+        Each mask is binarized, counted and painted inside its window only."""
+        stack, scores, cats = self.stack, self.scores, self.cats
+        order = sorted(
+            rows, key=lambda i: (-scores[i], cats[i], stack.provenance[i].query_index)
+        )
+        for i in order:
+            if scores[i] < params.t_cnf:
+                continue
+            window = stack.windows[i]
+            cover = binarize(stack.masks[i][window])
+            area = int(np.count_nonzero(cover))
+            if area == 0:
+                # no paintable pixels; also keeps the kept-fraction well-defined
+                continue
+            canvas = self.ids[window]  # a view: painting it paints ids
+            visible = cover & (canvas == VOID)
+            visible_area = int(np.count_nonzero(visible))
+            if visible_area == 0 or visible_area / area < params.t_keep:
+                continue
+            canvas[visible] = self._new_id(i)
+
+    def fill(
+        self, rows: Sequence[int], weights: Optional[np.ndarray], min_area: int
+    ) -> None:
+        """The fill phase: label each unpainted pixel with its _first_max row.
+        Rows claiming fewer than max(min_area, 1) pixels are voided; the rest
+        get ids in row order. An empty rows claims nothing."""
+        if not rows:
+            return
+        winners = _first_max(self.stack.masks, rows, weights)
+        # painted pixels all have segments; with none, one gather labels every pixel
+        unpainted = (self.ids == VOID) if self.segments else None
+        if unpainted is not None:
+            winners = winners[unpainted]
+        areas = np.bincount(winners.ravel(), minlength=len(rows))
+        id_of = np.zeros(len(rows), np.int32)
+        for k in np.flatnonzero(areas >= max(min_area, 1)):
+            id_of[k] = self._new_id(rows[k])
+        if unpainted is None:
+            self.ids = id_of[winners]
+        else:
+            self.ids[unpainted] = id_of[winners]
+
+    def finish(
+        self, taxonomy: Sequence[CategorySpec], merge_stuff: bool
+    ) -> PanopticMap:
+        """Derive sem from ids and the segment records, then merge
+        same-category stuff when asked."""
+        cat_of = np.array([VOID, *(s.category_id for s in self.segments)], np.int32)
+        out = PanopticMap(cat_of[self.ids], self.ids, tuple(self.segments))
+        if merge_stuff:
+            out = merge_same_category_stuff(out, taxonomy)
+        return out
 
 
 def mask_wise_merge(
@@ -206,10 +198,9 @@ def mask_wise_merge(
     """
     params = params or MergeParams()
     cats, _, confs = stack_scores(stack, taxonomy, params.score)
-    ids = np.zeros((stack.height, stack.width), np.int32)
-    segments: list[Segment] = []
-    _paint(stack, confs, cats, range(stack.n), params, ids, segments)
-    return _finish(ids, segments, taxonomy, params.merge_same_stuff)
+    canvas = _Canvas(stack, cats, confs)
+    canvas.paint(range(stack.n), params)
+    return canvas.finish(taxonomy, params.merge_same_stuff)
 
 
 def pixel_wise_argmax(
@@ -229,10 +220,10 @@ def pixel_wise_argmax(
     """
     _check_min_area(min_area)
     cats, probs = predicted_labels(stack, taxonomy)
-    segments: list[Segment] = []
+    canvas = _Canvas(stack, cats, probs)
     weights = probs if weighted else None
-    ids = _fill(stack, probs, cats, range(stack.n), weights, min_area, segments)
-    return _finish(ids, segments, taxonomy, merge_stuff)
+    canvas.fill(range(stack.n), weights, min_area)
+    return canvas.finish(taxonomy, merge_stuff)
 
 
 def heuristic_merge(
@@ -250,13 +241,12 @@ def heuristic_merge(
     """
     params = params or MergeParams()
     cats, probs = predicted_labels(stack, taxonomy)
-    ids = np.zeros((stack.height, stack.width), np.int32)
-    segments: list[Segment] = []
+    canvas = _Canvas(stack, cats, probs)
     thing_idx = [i for i, p in enumerate(stack.provenance) if p.is_thing]
-    _paint(stack, probs, cats, thing_idx, params, ids, segments)
+    canvas.paint(thing_idx, params)
     stuff_idx = [i for i, p in enumerate(stack.provenance) if not p.is_thing]
-    _fill(stack, probs, cats, stuff_idx, None, params.min_area, segments, ids)
-    return _finish(ids, segments, taxonomy, params.merge_same_stuff)
+    canvas.fill(stuff_idx, None, params.min_area)
+    return canvas.finish(taxonomy, params.merge_same_stuff)
 
 
 def merge_same_category_stuff(

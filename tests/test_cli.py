@@ -871,3 +871,57 @@ def test_nonpositive_image_count_is_usage_error(tmp_path, capsys, value):
         assert main([*argv, "--images", value]) == 1
         assert "--images" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+# case -> (subcommand, --pred, --gt, the library's message). "tall" is a
+# 96x64 set and "set" a 64x64 one, both with image 0000; "bound.json" is
+# set's stack manifest with its two stuff queries bound to category 8.
+_PER_IMAGE_ERRORS = {
+    "eval size": (
+        "eval", "tall_maps", "set/gt", "size mismatch: pred (96, 64) vs gt (64, 64)"
+    ),
+    "stats of gt": (
+        "stats", "set/gt", "set/gt", "segment 1 is missing its source_query"
+    ),
+    "assign size": (
+        "assign", "tall", "set/gt", "shape mismatch: pred (96, 64) vs gt (64, 64)"
+    ),
+    "assign stuff bound twice": (
+        "assign", "set/bound.json", "set/gt", "stuff category 8 bound to more than one query"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PER_IMAGE_ERRORS)
+def test_per_image_data_errors_name_both_sources_and_the_image(tmp_path, capsys, case):
+    command, pred, gt, message = _PER_IMAGE_ERRORS[case]
+    main(["synth", "--seed", "5", "--out", str(tmp_path / "set")])
+    main(["synth", "--seed", "5", "--h", "96", "--out", str(tmp_path / "tall")])
+    main(["merge", "--in", str(tmp_path / "tall"), "--out", str(tmp_path / "tall_maps")])
+    payload = json.loads((tmp_path / "set" / "manifest.json").read_text())
+    stuff = [p for p in payload["images"][0]["provenance"] if not p["is_thing"]]
+    assert len(stuff) == 2
+    for prov in stuff:
+        prov["fixed_category"] = 8
+    (tmp_path / "set" / "bound.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = [command, "--pred", str(tmp_path / pred), "--gt", str(tmp_path / gt)]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / pred}, {tmp_path / gt}: image 0000: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_fuse_tokens_without_heads_name_the_file(tmp_path, capsys):
+    l1, l2, l3 = token_counts(32, 32)
+    write_pst(tmp_path / "tokens.pst", np.zeros((2, l1 + l2 + l3, 0), np.float32))
+    out = tmp_path / "mask.pst"
+    code = main(
+        [
+            "fuse", "--attn", str(tmp_path / "tokens.pst"), "--height", "32",
+            "--width", "32", "--seed-head", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'tokens.pst'}: ")
+    assert not out.exists()

@@ -131,6 +131,14 @@ def test_dynamic_lambda_cases():
         dynamic_lambda(0, 0)
 
 
+@pytest.mark.parametrize(
+    "amounts", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (-1, 3)]
+)
+def test_dynamic_lambda_rejects_non_finite_or_negative_amounts(amounts):
+    with pytest.raises(ValidationError, match="amount must be finite and >= 0"):
+        dynamic_lambda(*amounts)
+
+
 def test_lambda_counts_pixels_and_segments():
     sem = np.zeros((4, 4), np.int32)
     ids = np.zeros((4, 4), np.int32)
