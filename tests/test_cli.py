@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from panokit.manifest import (
     write_panoptic_set,
     write_stack_set,
 )
+from panokit.metrics import PqReport, QueryStats, pq, query_stats
 from panokit.pst import read_pst, write_pst
 from panokit import (
     DEFAULT_TAXONOMY,
@@ -580,6 +582,48 @@ def test_eval_of_zero_pixel_maps_reports_no_categories(tmp_path, capsys):
     assert report["per_category"] == []
 
 
+def test_report_rows_keep_their_keys_and_equal_the_library_counts(tmp_path):
+    data, pred = tmp_path / "data", tmp_path / "pred"
+    synth = ["synth", "--seed", "3", "--images", "3", "--n", "8", "--noise", "0.3"]
+    assert main([*synth, "--overlap-bias", "0.6", "--out", str(data)]) == 0
+    argv = ["merge", "--strategy", "argmax", "--in", str(data / "manifest.json")]
+    assert main([*argv, "--out", str(pred)]) == 0
+    pair = ["--pred", str(pred), "--gt", str(data / "gt")]
+    assert main(["eval", *pair, "--out", str(tmp_path / "pq.json")]) == 0
+    assert main(["stats", *pair, "--out", str(tmp_path / "stats.json")]) == 0
+    taxonomy, gts = read_panoptic_set(data / "gt")
+    preds = dict(read_panoptic_set(pred)[1])
+    pairs = [(preds[image_id], gt) for image_id, gt in gts]
+    total = reduce(PqReport.merge, (pq(p, g, taxonomy) for p, g in pairs), PqReport())
+    spec = {c.id: c for c in taxonomy}
+    rows = json.loads((tmp_path / "pq.json").read_text())["per_category"]
+    assert any(r["fp"] for r in rows) and any(r["fn"] for r in rows)
+    assert [r["category_id"] for r in rows] == sorted(
+        cat for cat, c in total.per_category.items() if c.present
+    )
+    for row in rows:
+        c = total.per_category[row["category_id"]]
+        assert list(row.items()) == [
+            ("category_id", row["category_id"]),
+            ("name", spec[row["category_id"]].name),
+            ("is_thing", spec[row["category_id"]].is_thing),
+            ("pq", c.pq), ("sq", c.sq), ("rq", c.rq),
+            ("iou_sum", c.iou_sum), ("tp", c.tp), ("fp", c.fp), ("fn", c.fn),
+        ]
+    merged = reduce(
+        QueryStats.merge, (query_stats(p, g, taxonomy) for p, g in pairs), QueryStats()
+    )
+    per_query = json.loads((tmp_path / "stats.json").read_text())["per_query"]
+    assert list(per_query) == [str(q) for q in sorted(merged.per_query)]
+    for query, row in per_query.items():
+        c = merged.per_query[int(query)]
+        assert list(row.items()) == [
+            ("n_things", c.n_things), ("n_stuff", c.n_stuff), ("p_t", c.p_t),
+            ("tp_things", c.tp_things), ("fp_things", c.fp_things),
+            ("tp_stuff", c.tp_stuff), ("fp_stuff", c.fp_stuff),
+        ]
+
+
 def test_fuse_round_trip(tmp_path):
     l1, l2, l3 = token_counts(32, 32)
     tokens = np.linspace(0.0, 1.0, (l1 + l2 + l3) * 2, dtype=np.float32).reshape(-1, 2)
@@ -747,6 +791,32 @@ def test_fuse_shape_errors_name_the_file(tmp_path, capsys, bad):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / (bad + '.pst')}: ")
+    assert not out.exists()
+
+
+# case -> (tokens shape, --height, message). A 64x32 base needs 42 tokens
+# per query; an empty batch builds no MultiScaleAttn, so fuse checks its
+# shape itself.
+_EMPTY_BATCH_ERRORS = {
+    "token length": (
+        (0, 21, 2), "64", "{attn}: a 64x32 base needs 42 tokens per query, got shape (0, 21, 2)"
+    ),
+    "no heads": ((0, 42, 0), "64", "{attn}: tokens carry no heads: (0, 42, 0)"),
+    "height 33": (
+        (0, 42, 2), "33", "height and width must be positive multiples of 32, got 33x32"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _EMPTY_BATCH_ERRORS)
+def test_fuse_empty_batch_shape_errors(tmp_path, capsys, case):
+    shape, height, message = _EMPTY_BATCH_ERRORS[case]
+    attn = tmp_path / "tokens.pst"
+    write_pst(attn, np.zeros(shape, np.float32))
+    out = tmp_path / "mask.pst"
+    argv = ["fuse", "--attn", str(attn), "--height", height, "--width", "32"]
+    assert main([*argv, "--seed-head", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(attn=attn)}\n"
     assert not out.exists()
 
 
