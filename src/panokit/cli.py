@@ -12,7 +12,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -202,9 +202,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def _write_json(path: str, payload: dict) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _map_images(threads: int, fn, items: Sequence):
@@ -274,20 +274,19 @@ def _cmd_merge(args) -> int:
 
 
 def _check_pair(
-    pred_src: str,
-    gt_src: str,
+    args,
     pred_taxonomy: Sequence[CategorySpec],
     gt_taxonomy: Sequence[CategorySpec],
     pred_ids: Sequence[str],
     gt_ids: Sequence[str],
 ) -> None:
-    """Raise a ValidationError naming both sources unless their taxonomies
+    """Raise a ValidationError naming --pred and --gt unless their taxonomies
     list the same categories and their image ids agree, listing the
     categories that differ or the ids missing from pred and extra in pred."""
     differ = sorted({c.id for c in set(pred_taxonomy) ^ set(gt_taxonomy)})
     if differ:
         raise ValidationError(
-            f"taxonomies disagree between {pred_src} and {gt_src} "
+            f"taxonomies disagree between {args.pred} and {args.gt} "
             f"on category ids {differ}"
         )
     pred_set, gt_set = set(pred_ids), set(gt_ids)
@@ -295,70 +294,55 @@ def _check_pair(
     extra = [i for i in pred_ids if i not in gt_set]
     if missing or extra:
         raise ValidationError(
-            f"image ids disagree between {pred_src} and {gt_src} "
+            f"image ids disagree between {args.pred} and {args.gt} "
             f"(missing from pred: {missing}, extra in pred: {extra})"
         )
 
 
-def _read_pairs(pred_dir: str, gt_dir: str):
-    """Read a pred and a gt panoptic set whose taxonomies and image ids
-    must agree, as (image id, pred, gt) triples in gt order."""
-    taxonomy, gt_items = read_panoptic_set(gt_dir)
-    pred_taxonomy, pred_items = read_panoptic_set(pred_dir)
-    preds = dict(pred_items)
-    _check_pair(
-        pred_dir, gt_dir, pred_taxonomy, taxonomy, list(preds), [i for i, _ in gt_items]
-    )
-    return taxonomy, [(i, preds[i], gt) for i, gt in gt_items]
-
-
 @contextmanager
-def _naming_image(args, image_id: str) -> Iterator[None]:
-    """Prefix the --pred and --gt sources and image_id to a ValidationError
-    that the library calls inside raise on that image's data."""
+def _naming(prefix: str) -> Iterator[None]:
+    """Prefix the source a ValidationError raised inside is about."""
     try:
         yield
     except ValidationError as exc:
-        prefix = f"{args.pred}, {args.gt}: image {image_id}"
         raise ValidationError(f"{prefix}: {exc}") from exc
 
 
+def _each_pair(args, call, threads: int = 1):
+    """(taxonomy, [call(pred, gt, taxonomy) for each image in gt order]) over
+    the --pred and --gt panoptic sets, whose taxonomies and image ids must
+    agree; a ValidationError names both sets and the image."""
+    taxonomy, gt_items = read_panoptic_set(args.gt)
+    pred_taxonomy, pred_items = read_panoptic_set(args.pred)
+    preds = dict(pred_items)
+    _check_pair(args, pred_taxonomy, taxonomy, list(preds), [i for i, _ in gt_items])
+
+    def image(item):
+        image_id, gt = item
+        with _naming(f"{args.pred}, {args.gt}: image {image_id}"):
+            return call(preds[image_id], gt, taxonomy)
+
+    return taxonomy, _map_images(threads, image, gt_items)
+
+
 def _cmd_eval(args) -> int:
-    taxonomy, pairs = _read_pairs(args.pred, args.gt)
-
-    def image_pq(image_id, pred, gt):
-        with _naming_image(args, image_id):
-            return pq(pred, gt, taxonomy, args.void_forgive)
-
-    reports = _map_images(args.threads, lambda item: image_pq(*item), pairs)
+    taxonomy, reports = _each_pair(
+        args, lambda pred, gt, tax: pq(pred, gt, tax, args.void_forgive), args.threads
+    )
     total = reduce(PqReport.merge, reports, PqReport())
     aggregates = total.aggregates(taxonomy)
-    by_name = {c.id: c for c in taxonomy}
-    per_category = [
-        {
-            "category_id": cat,
-            "name": by_name[cat].name,
-            "is_thing": by_name[cat].is_thing,
-            "pq": counts.pq,
-            "sq": counts.sq,
-            "rq": counts.rq,
-            **vars(counts),
-        }
-        for cat, counts in sorted(total.per_category.items())
-        if counts.present
-    ]
     _write_json(
-        Path(args.out),
+        args.out,
         {
             "schema": "pq-report/1",
-            "images": len(pairs),
+            "images": len(reports),
             "aggregates": aggregates,
-            "per_category": per_category,
+            "per_category": total.category_rows(taxonomy),
         },
     )
     print(
         f"PQ {aggregates['pq']:.4f} SQ {aggregates['sq']:.4f} "
-        f"RQ {aggregates['rq']:.4f} over {len(pairs)} images "
+        f"RQ {aggregates['rq']:.4f} over {len(reports)} images "
         f"({aggregates['categories']} categories)"
     )
     return 0
@@ -397,14 +381,7 @@ def _cmd_assign(args) -> int:
     stuff = stuff_ids(taxonomy)
     weights = LossWeights(*args.lambdas)
     mode = "box" if args.location_mode == "box" else "mass_center"
-    _check_pair(
-        args.pred,
-        args.gt,
-        taxonomy,
-        gt_taxonomy,
-        [e.image_id for e in entries],
-        list(gt_by_id),
-    )
+    _check_pair(args, taxonomy, gt_taxonomy, [e.image_id for e in entries], list(gt_by_id))
     images_out = []
     for entry in entries:
         stack = entry.load(taxonomy)
@@ -434,7 +411,7 @@ def _cmd_assign(args) -> int:
         present = frozenset(
             seg.category_id for seg in gt.segments if seg.category_id in stuff
         )
-        with _naming_image(args, entry.image_id):
+        with _naming(f"{args.pred}, {args.gt}: image {entry.image_id}"):
             costs = build_cost_matrix(
                 [q for _, q in queries], targets, weights, mode, args.normalize
             )
@@ -455,9 +432,7 @@ def _cmd_assign(args) -> int:
                 "total_cost": assignment_cost(costs, result.things),
             }
         )
-    _write_json(
-        Path(args.out), {"schema": "assignment/1", "images": images_out}
-    )
+    _write_json(args.out, {"schema": "assignment/1", "images": images_out})
     print(f"assigned {len(images_out)} images -> {args.out}")
     return 0
 
@@ -497,26 +472,14 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    taxonomy, pairs = _read_pairs(args.pred, args.gt)
-
-    def image_stats(image_id, pred, gt):
-        with _naming_image(args, image_id):
-            return query_stats(pred, gt, taxonomy)
-
-    merged = reduce(
-        QueryStats.merge, (image_stats(*item) for item in pairs), QueryStats()
-    )
+    _, stats = _each_pair(args, query_stats)
+    merged = reduce(QueryStats.merge, stats, QueryStats())
     rows = decile_table(merged)
     print(format_decile_table(rows))
     if args.out:
-        # p_t sits after n_stuff: the repeated keys keep their first position
-        per_query = {
-            str(q): {"n_things": c.n_things, "n_stuff": c.n_stuff, "p_t": c.p_t, **vars(c)}
-            for q, c in sorted(merged.per_query.items())
-        }
         _write_json(
-            Path(args.out),
-            {"schema": "query-stats/1", "per_query": per_query, "table": rows},
+            args.out,
+            {"schema": "query-stats/1", "per_query": merged.query_rows(), "table": rows},
         )
     return 0
 
@@ -544,14 +507,20 @@ def _cmd_bench(args) -> int:
     report = bench(source, taxonomy, args.strategies, args.reps)
     print(format_bench_table(report))
     if args.out:
-        _write_json(Path(args.out), report)
+        _write_json(args.out, report)
     return 0
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser main reuses: parse_args leaves it unchanged and returns a
+    new Namespace, so one build serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

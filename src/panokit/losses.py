@@ -123,6 +123,8 @@ def dynamic_lambda(thing_amount: float, stuff_amount: float) -> tuple[float, flo
     check_nonnegative("thing amount", thing_amount)
     check_nonnegative("stuff amount", stuff_amount)
     total = thing_amount + stuff_amount
+    if total == float("inf"):  # two finite amounts overflowed; halving is exact
+        return dynamic_lambda(thing_amount / 2, stuff_amount / 2)
     if total == 0:
         raise ValidationError("cannot weight an image with no thing or stuff content")
     return thing_amount / total, stuff_amount / total

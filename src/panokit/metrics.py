@@ -98,6 +98,24 @@ class PqReport:
             "stuff_categories": len(stuff),
         }
 
+    def category_rows(self, taxonomy: Sequence[CategorySpec]) -> list[dict]:
+        """The pq-report/1 per_category rows of the present categories in
+        ascending id order: id, name, kind, PQ, SQ, RQ, then the counters."""
+        spec = {c.id: c for c in taxonomy}
+        return [
+            {
+                "category_id": cat,
+                "name": spec[cat].name,
+                "is_thing": spec[cat].is_thing,
+                "pq": counts.pq,
+                "sq": counts.sq,
+                "rq": counts.rq,
+                **vars(counts),
+            }
+            for cat, counts in sorted(self.per_category.items())
+            if counts.present
+        ]
+
 
 def _matches(
     pred: PanopticMap, gt: PanopticMap
@@ -205,6 +223,15 @@ class QueryStats:
 
     def merge(self, other: "QueryStats") -> "QueryStats":
         return QueryStats(_fold(self.per_query, other.per_query, QueryCounts()))
+
+    def query_rows(self) -> dict[str, dict]:
+        """The query-stats/1 per_query rows keyed by query index (as text) in
+        ascending order: the emission counts, P_t, then the hit counters."""
+        # p_t sits after n_stuff: the repeated keys keep their first position
+        return {
+            str(q): {"n_things": c.n_things, "n_stuff": c.n_stuff, "p_t": c.p_t, **vars(c)}
+            for q, c in sorted(self.per_query.items())
+        }
 
 
 def query_stats(

@@ -7,7 +7,7 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
-from panokit import manifest
+from panokit import cli, manifest
 from panokit.cli import build_parser, main
 from panokit.manifest import (
     read_panoptic_set,
@@ -15,6 +15,7 @@ from panokit.manifest import (
     write_panoptic_set,
     write_stack_set,
 )
+from panokit.merging import MergeParams
 from panokit.metrics import PqReport, QueryStats, pq, query_stats
 from panokit.pst import read_pst, write_pst
 from panokit import (
@@ -744,6 +745,53 @@ def test_default_flag_values_match_reference_operating_point():
     assign = parser.parse_args(["assign", "--pred", "p", "--gt", "g", "--out", "o"])
     assert assign.lambdas == (2.0, 1.0, 1.0)
     assert assign.location_mode == "box"
+
+
+def test_successive_main_calls_see_only_their_own_options(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "2", "--out", str(data)]) == 0
+    builds, seen = [], []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+
+    def spy(name, pick):
+        library = getattr(cli, name)
+
+        def wrapped(*args):
+            seen.append((name, pick(*args)))
+            return library(*args)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    spy("pixel_wise_argmax", lambda stack, tax, *options: options)
+    spy("mask_wise_merge", lambda stack, tax, params: params)
+    spy("pq", lambda pred, gt, tax, void_forgive: void_forgive)
+    merge = ["merge", "--in", str(data / "manifest.json"), "--out"]
+    evaluate = ["eval", "--pred", str(tmp_path / "b"), "--gt", str(data / "gt")]
+    evaluate += ["--out", str(tmp_path / "r.json")]
+    try:
+        argmax = ["--strategy", "argmax", "--min-area", "5"]
+        assert main([*merge, str(tmp_path / "a"), *argmax]) == 0
+        assert main([*merge, str(tmp_path / "b")]) == 0
+        bad = ["--strategy", "heuristic", "--t-cnf", "x"]
+        assert main([*merge, str(tmp_path / "c"), *bad]) == 1
+        assert main([*evaluate, "--no-void-forgive"]) == 0
+        assert main(evaluate) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert seen == [
+        ("pixel_wise_argmax", (False, 5, True)),
+        ("mask_wise_merge", MergeParams()),
+        ("pq", False),
+        ("pq", True),
+    ]
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("bad", ["tokens", "head"])

@@ -139,6 +139,13 @@ def test_dynamic_lambda_rejects_non_finite_or_negative_amounts(amounts):
         dynamic_lambda(*amounts)
 
 
+def test_dynamic_lambda_of_amounts_whose_sum_overflows():
+    assert dynamic_lambda(1e308, 1e308) == (0.5, 0.5)
+    things, stuff = dynamic_lambda(1.5e308, 5e307)
+    assert np.isfinite([things, stuff]).all()
+    assert abs(things + stuff - 1.0) <= np.spacing(1.0)
+
+
 def test_lambda_counts_pixels_and_segments():
     sem = np.zeros((4, 4), np.int32)
     ids = np.zeros((4, 4), np.int32)
