@@ -372,10 +372,6 @@ def decoupled_assign(
             raise ValidationError(
                 f"query {prov.query_index} is a thing query on the stuff side"
             )
-        if prov.fixed_category is None:
-            raise ValidationError(
-                f"stuff query {prov.query_index} is missing its fixed_category"
-            )
         if prov.fixed_category in seen:
             raise ValidationError(
                 f"stuff category {prov.fixed_category} bound to more than one query"

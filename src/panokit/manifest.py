@@ -309,19 +309,30 @@ def _read_set(
 ) -> tuple[tuple[CategorySpec, ...], list[tuple[str, list[Path], tuple]]]:
     """Read a set directory (or its index) as its taxonomy and a list of
     (image id, tensor paths in layout order, records). Only fields are
-    converted here: callers load tensors after this guard, so their errors
-    keep their type."""
+    converted and file paths resolved here: callers load tensors after this
+    guard, so their errors keep their type."""
     index = Path(path)
     if index.is_dir():
         index = index / layout.index_name
     data = _load_json(index, layout.schema)
     base = index.parent
+
+    def inside(name: str) -> Path:
+        """base / name, unless it is a symlink out of the set's directory; a
+        plain name that is no symlink names a file in base itself."""
+        path = base / name
+        if os.path.islink(path) and (
+            os.path.dirname(os.path.realpath(path)) != os.path.realpath(base)
+        ):
+            raise ValidationError(f"file {name!r} links outside the set's directory")
+        return path
+
     try:
-        taxonomy_path = base / _file_name(data["taxonomy"])
+        taxonomy_path = inside(_file_name(data["taxonomy"]))
         images = []
         for image in _list(data["images"]):
             image_id, *names, records = (f.read(image) for f in layout.image_fields)
-            images.append((image_id, [base / name for name in names], records))
+            images.append((image_id, [inside(name) for name in names], records))
     except _MALFORMED as exc:
         raise FormatError(
             f"{index}: malformed index ({type(exc).__name__}: {exc})"
@@ -420,8 +431,8 @@ def read_panoptic_set(
         ids = _IDS.load(ids_path)
         if ids.max(initial=0) >= 2**31:
             raise FormatError(f"{ids_path}: instance ids exceed int32 range")
-        pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
         try:
+            pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
             pmap.validate()
         except ValidationError as exc:
             raise ValidationError(f"{ids_path}: image {image_id}: {exc}") from exc

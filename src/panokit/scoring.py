@@ -20,6 +20,7 @@ from .types import (
     binarize,
     check_nonnegative,
     taxonomy_columns,
+    validate_stack,
 )
 
 
@@ -60,8 +61,9 @@ def predicted_labels(
 
     Thing queries take their argmax column (lowest column on ties); stuff
     queries read the probability of their fixed category. Raises
-    ValidationError when a resolved probability is NaN or outside [0, 1].
+    ValidationError unless the stack fits the taxonomy (validate_stack).
     """
+    validate_stack(stack, taxonomy)
     columns = taxonomy_columns(taxonomy)
     ids_by_column = np.array([c.id for c in taxonomy], np.int64)
     cats = np.zeros(stack.n, np.int64)
@@ -73,14 +75,8 @@ def predicted_labels(
             cats[i] = ids_by_column[col]
             probs[i] = row[col]
         else:
-            if prov.fixed_category is None:
-                raise ValidationError(
-                    f"stuff query {prov.query_index} is missing its fixed_category"
-                )
             cats[i] = prov.fixed_category
             probs[i] = row[columns[prov.fixed_category]]
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
-        raise ValidationError("class probabilities must be finite and lie in [0, 1]")
     return cats, probs
 
 

@@ -1,9 +1,9 @@
 """Shared data model: categories, mask stacks, panoptic maps, attention tokens.
 
-All container types are immutable value objects: numpy payloads are locked
-(writeable=False) at construction, so instances are safe to share across
-threads. Arrays are locked in place, not copied; pass a copy if the caller
-needs to keep mutating its buffer.
+All container types are immutable value objects that check their own rules
+when built: numpy payloads are locked (writeable=False) at construction, so
+instances are safe to share across threads. Arrays are locked in place, not
+copied; pass a copy if the caller needs to keep mutating its buffer.
 """
 
 from __future__ import annotations
@@ -94,13 +94,23 @@ class QueryProvenance:
     is_thing: bool
     fixed_category: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.is_thing and self.fixed_category is not None:
+            raise ValidationError(
+                f"thing query {self.query_index} must not carry a fixed_category"
+            )
+        if not self.is_thing and self.fixed_category is None:
+            raise ValidationError(
+                f"stuff query {self.query_index} is missing its fixed_category"
+            )
+
 
 @dataclass(frozen=True)
 class MaskStack:
     """Per-query soft masks plus class probabilities.
 
     masks        (N, H, W) float32, each value a probability in [0, 1]
-    class_probs  (N, C) float32, C columns in taxonomy order
+    class_probs  (N, C) float32, C columns in taxonomy order (validate_stack)
     provenance   N records aligned with the leading axis
     """
 
@@ -114,6 +124,28 @@ class MaskStack:
             self, "class_probs", _freeze(np.asarray(self.class_probs, np.float32))
         )
         object.__setattr__(self, "provenance", tuple(self.provenance))
+        if self.masks.ndim != 3:
+            raise ValidationError(f"masks must be (N, H, W), got shape {self.masks.shape}")
+        if self.class_probs.ndim != 2:
+            raise ValidationError(
+                f"class_probs must be (N, C), got shape {self.class_probs.shape}"
+            )
+        n = self.n
+        if self.class_probs.shape[0] != n:
+            raise ValidationError(
+                f"masks carry {n} entries but class_probs carry "
+                f"{self.class_probs.shape[0]}"
+            )
+        if len(self.provenance) != n:
+            raise ValidationError(
+                f"masks carry {n} entries but provenance carries {len(self.provenance)}"
+            )
+        # min() and max() propagate NaN, and a NaN bound fails both comparisons;
+        # the in-range initial values let them reduce zero-size arrays
+        ranged = ((self.masks, "mask values"), (self.class_probs, "class probabilities"))
+        for values, what in ranged:
+            if not (values.min(initial=1.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
+                raise ValidationError(f"{what} must be finite and lie in [0, 1]")
 
     @property
     def n(self) -> int:
@@ -138,56 +170,23 @@ class MaskStack:
 def validate_stack(
     stack: MaskStack, taxonomy: Sequence[CategorySpec]
 ) -> MaskStack:
-    """Check every MaskStack invariant; return the stack unchanged.
+    """Check that a stack fits a taxonomy; return the stack unchanged.
 
-    Raises ValidationError on dimension mismatch, mask values or
-    probabilities that are NaN or outside [0, 1], unknown category ids, or
-    stuff entries without a fixed_category.
+    Raises ValidationError unless class_probs has one column per category
+    and every stuff query's fixed_category is in the taxonomy.
     """
     columns = taxonomy_columns(taxonomy)
-    if stack.masks.ndim != 3:
-        raise ValidationError(f"masks must be (N, H, W), got shape {stack.masks.shape}")
-    if stack.class_probs.ndim != 2:
-        raise ValidationError(
-            f"class_probs must be (N, C), got shape {stack.class_probs.shape}"
-        )
-    n = stack.masks.shape[0]
-    if stack.class_probs.shape[0] != n:
-        raise ValidationError(
-            f"masks carry {n} entries but class_probs carry "
-            f"{stack.class_probs.shape[0]}"
-        )
-    if len(stack.provenance) != n:
-        raise ValidationError(
-            f"masks carry {n} entries but provenance carries {len(stack.provenance)}"
-        )
     if stack.class_probs.shape[1] != len(taxonomy):
         raise ValidationError(
             f"class_probs have {stack.class_probs.shape[1]} columns, "
             f"taxonomy has {len(taxonomy)} categories"
         )
-    # min() and max() propagate NaN, and a NaN bound fails both comparisons;
-    # the in-range initial values let them reduce zero-size arrays
-    ranged = ((stack.masks, "mask values"), (stack.class_probs, "class probabilities"))
-    for values, what in ranged:
-        if not (values.min(initial=1.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
-            raise ValidationError(f"{what} must be finite and lie in [0, 1]")
     for prov in stack.provenance:
-        if prov.is_thing:
-            if prov.fixed_category is not None:
-                raise ValidationError(
-                    f"thing query {prov.query_index} must not carry a fixed_category"
-                )
-        else:
-            if prov.fixed_category is None:
-                raise ValidationError(
-                    f"stuff query {prov.query_index} is missing its fixed_category"
-                )
-            if prov.fixed_category not in columns:
-                raise ValidationError(
-                    f"stuff query {prov.query_index} names unknown category "
-                    f"{prov.fixed_category}"
-                )
+        if not prov.is_thing and prov.fixed_category not in columns:
+            raise ValidationError(
+                f"stuff query {prov.query_index} names unknown category "
+                f"{prov.fixed_category}"
+            )
     return stack
 
 
@@ -242,6 +241,10 @@ class PanopticMap:
         object.__setattr__(self, "sem", _freeze(np.asarray(self.sem, np.int32)))
         object.__setattr__(self, "ids", _freeze(np.asarray(self.ids, np.int32)))
         object.__setattr__(self, "segments", tuple(self.segments))
+        if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
+            raise ValidationError(
+                f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"
+            )
 
     @property
     def height(self) -> int:
@@ -254,10 +257,6 @@ class PanopticMap:
     def validate(self) -> "PanopticMap":
         """Check void coupling, ids covered by segments, and one category per
         id; the first and last checks read the (id, category) _pair_counts."""
-        if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
-            raise ValidationError(
-                f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"
-            )
         pair_ids, pair_cats, _ = _pair_counts(self.ids, self.sem)
         if ((pair_ids == VOID) != (pair_cats == VOID)).any():
             raise ValidationError("sem and ids disagree on which pixels are void")

@@ -140,6 +140,35 @@ def test_merge_of_duplicate_image_ids_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "is_thing, category, message",
+    [
+        (False, None, "stuff query {} is missing its fixed_category"),
+        (True, 6, "thing query {} must not carry a fixed_category"),
+    ],
+    ids=["null stuff category", "thing with category"],
+)
+def test_merge_of_wrong_provenance_kind_names_the_index(
+    tmp_path, capsys, is_thing, category, message
+):
+    data = tmp_path / "data"
+    main(["synth", "--images", "1", "--out", str(data)])
+    manifest_path = data / "manifest.json"
+    payload = json.loads(manifest_path.read_text())
+    provenance = payload["images"][0]["provenance"]
+    query = next(p for p in provenance if p["is_thing"] == is_thing)
+    query["fixed_category"] = category
+    manifest_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["merge", "--in", str(data), "--out", str(tmp_path / "o")])
+    assert code == 2
+    message = message.format(query["query_index"])
+    assert capsys.readouterr().err == (
+        f"error: {manifest_path}: malformed index (ValidationError: {message})\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_pst_magic_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--seed", "1", "--out", str(data)])

@@ -10,7 +10,6 @@ from panokit import (
     DEFAULT_TAXONOMY,
     CategorySpec,
     FormatError,
-    MaskStack,
     PanopticMap,
     SceneParams,
     ValidationError,
@@ -143,6 +142,15 @@ def test_panoptic_set_validates_maps_on_read(tmp_path):
         read_panoptic_set(index)
 
 
+def test_panoptic_set_ids_at_another_shape_name_the_file(tmp_path):
+    gt, _ = _scene(0)
+    write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", gt)])
+    write_pst(tmp_path / "maps" / "a_ids.pst", np.zeros((32, 33), np.uint32))
+    message = r"sem \(32, 32\) and ids \(32, 33\) must be equal 2-d shapes"
+    with pytest.raises(ValidationError, match=rf"a_ids\.pst: image a: {message}"):
+        read_panoptic_set(tmp_path / "maps")
+
+
 @pytest.mark.parametrize(
     "raster, value, message",
     [
@@ -184,10 +192,10 @@ def test_panoptic_sets_reject_categories_outside_their_taxonomy(tmp_path):
 
 def test_stack_validation_on_load_names_the_file(tmp_path):
     _, stack = _scene(4)
+    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("a", stack)])
     masks = stack.masks.copy()
-    masks[0, 3, 5] = np.nan
-    bad = MaskStack(masks, stack.class_probs, stack.provenance)
-    write_stack_set(tmp_path / "set", DEFAULT_TAXONOMY, [("a", bad)])
+    masks[0, 3, 5] = np.nan  # a stack holding it cannot be built, so write it raw
+    write_pst(tmp_path / "set" / "a_masks.pst", masks)
     taxonomy, [entry] = read_stack_manifest(tmp_path / "set")
     with pytest.raises(ValidationError, match=r"a_masks\.pst.*image a: mask values"):
         entry.load(taxonomy)
@@ -346,3 +354,64 @@ def test_set_readers_reject_tensors_in_another_dtype(tmp_path, tensor):
         taxonomy, loaded = _read_set(kind, out)
         if kind == "stack":
             loaded[0].load(taxonomy)
+
+
+def _load_set(kind, path):
+    """Every image of a set, its tensors loaded, as (id, arrays) pairs."""
+    taxonomy, items = _read_set(kind, path)
+    if kind == "stack":
+        items = [(e.image_id, e.load(taxonomy)) for e in items]
+        return [(i, (s.masks, s.class_probs)) for i, s in items]
+    return [(i, (m.sem, m.ids)) for i, m in items]
+
+
+# set kind -> the file names of image a, taxonomy.json among them
+_SET_FILES = {
+    "stack": ("a_masks.pst", "a_probs.pst", "taxonomy.json"),
+    "panoptic": ("a_sem.pst", "a_ids.pst", "taxonomy.json"),
+}
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_readers_refuse_symlinks_that_leave_the_set(tmp_path, kind):
+    index = _write_set(kind, tmp_path / "set", seed=0)
+    _write_set(kind, tmp_path / "other", seed=1)
+    for name in _SET_FILES[kind]:
+        link = tmp_path / "set" / name
+        target = link.with_name(f"{name}.kept")
+        link.rename(target)
+        link.symlink_to(tmp_path / "other" / name)
+        message = f"file '{name}' links outside the set's directory"
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(index))}: .*{message}"):
+            _read_set(kind, tmp_path / "set")
+        link.unlink()
+        target.rename(link)
+    assert _load_set(kind, tmp_path / "set")
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_readers_follow_symlinks_within_the_set(tmp_path, kind):
+    _write_set(kind, tmp_path / "set", seed=0)  # images a and b are equal
+    want = _load_set(kind, tmp_path / "set")
+    for name in _SET_FILES[kind]:
+        link = tmp_path / "set" / name.replace("a_", "b_")
+        if name == "taxonomy.json":
+            link.rename(tmp_path / "set" / "categories.json")
+            link.symlink_to("categories.json")
+        else:
+            link.unlink()
+            link.symlink_to(name)  # relative, so it stays inside the set
+    got = _load_set(kind, tmp_path / "set")
+    assert [i for i, _ in got] == [i for i, _ in want] == ["a", "b"]
+    for (_, arrays), (_, expected) in zip(got, want):
+        for array, same in zip(arrays, expected):
+            np.testing.assert_array_equal(array, same)
+
+
+@pytest.mark.parametrize("kind", ["stack", "panoptic"])
+def test_set_readers_accept_a_set_under_a_symlinked_directory(tmp_path, kind):
+    _write_set(kind, tmp_path / "real" / "set", seed=0)
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    got = _load_set(kind, tmp_path / "link" / "set")
+    want = _load_set(kind, tmp_path / "real" / "set")
+    assert [i for i, _ in got] == [i for i, _ in want] == ["a", "b"]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from panokit import (
     DEFAULT_TAXONOMY,
     MaskStack,
     MergeParams,
+    PanopticMap,
+    QueryProvenance,
     ScoreParams,
     Segment,
     ValidationError,
@@ -16,6 +19,7 @@ from panokit import (
     pixel_wise_argmax,
     oracle_merge,
     random_stack,
+    validate_stack,
 )
 
 from panokit import merging
@@ -102,8 +106,6 @@ def test_permutation_invariance_distinct_confidences():
         [[0.9, 0.7, 0.5, 0.4][i] for i in perm],
     )
     # provenance query_index must follow the original queries, not row order
-    from panokit import MaskStack, QueryProvenance
-
     prov = tuple(
         QueryProvenance(perm[i], p.is_thing, p.fixed_category)
         for i, p in enumerate(shuffled.provenance)
@@ -441,17 +443,38 @@ def test_fill_phase_matches_naive_reference_across_strips(monkeypatch):
 
 @pytest.mark.parametrize("bad", [1.5, np.nan])
 def test_every_strategy_rejects_bad_class_probability(bad):
+    # a stack holding one cannot be built, so no strategy is ever handed one
     masks = np.full((2, 4, 4), 0.9, np.float32)
     for cats in ([1, 6], [6, 1]):
-        stack = make_stack(masks, cats, [bad, 0.8])
-        for run in (
-            mask_wise_merge,
-            heuristic_merge,
-            pixel_wise_argmax,
-            lambda s, t: pixel_wise_argmax(s, t, weighted=True),
-        ):
-            with pytest.raises(ValidationError):
-                run(stack, DEFAULT_TAXONOMY)
+        with pytest.raises(ValidationError, match="class probabilities must be finite"):
+            make_stack(masks, cats, [bad, 0.8])
+
+
+_UNFIT_STACKS = {
+    "unknown stuff category": (99, 8, "stuff query 1 names unknown category 99"),
+    "three columns": (6, 3, "class_probs have 3 columns, taxonomy has 8 categories"),
+}
+
+_FIT_CHECKERS = {
+    "validate_stack": validate_stack,
+    "maskwise": mask_wise_merge,
+    "heuristic": heuristic_merge,
+    "argmax": pixel_wise_argmax,
+    "argmax-weighted": lambda s, t: pixel_wise_argmax(s, t, weighted=True),
+    "stack_scores": stack_scores,
+    "predicted_labels": predicted_labels,
+}
+
+
+@pytest.mark.parametrize("run", _FIT_CHECKERS)
+@pytest.mark.parametrize("case", _UNFIT_STACKS)
+def test_every_strategy_checks_the_fit_to_the_taxonomy(case, run):
+    category, columns, message = _UNFIT_STACKS[case]
+    provenance = (QueryProvenance(0, True), QueryProvenance(1, False, category))
+    masks = np.full((2, 4, 4), 0.9, np.float32)
+    stack = MaskStack(masks, np.full((2, columns), 0.1), provenance)
+    with pytest.raises(ValidationError, match=message):
+        _FIT_CHECKERS[run](stack, DEFAULT_TAXONOMY)
 
 
 def test_merge_same_category_stuff_cases():
@@ -477,6 +500,49 @@ def test_merge_same_category_stuff_things_untouched():
     pmap = make_map(sem, ids)
     out = merge_same_category_stuff(pmap, DEFAULT_TAXONOMY)
     assert len(out.segments) == 2
+
+
+def test_merge_same_category_stuff_memory_follows_the_frame_not_the_ids():
+    sem = np.full((64, 64), 7, np.int32)  # grass
+    ids = np.ones((64, 64), np.int32)
+    ids[32:] = 20_000_000  # grass again: merged into id 1
+    sem[:8, :8], ids[:8, :8] = 1, 19_999_999  # a thing, untouched
+    pmap = make_map(sem, ids)
+    tracemalloc.start()
+    try:
+        out = merge_same_category_stuff(pmap, DEFAULT_TAXONOMY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    out.validate()
+    np.testing.assert_array_equal(out.ids, np.where(ids == 20_000_000, 1, ids))
+    assert [s.instance_id for s in out.segments] == [1, 19_999_999]
+
+
+def test_merge_same_category_stuff_same_for_ids_wider_than_the_frame():
+    scale = 1_000_003  # every id but void then exceeds the 64 pixels
+    merged = 0
+    for seed in range(30):
+        stack = random_stack(seed, 8, 8, 6)
+        narrow = pixel_wise_argmax(stack, DEFAULT_TAXONOMY, merge_stuff=False)
+        wide = PanopticMap(
+            narrow.sem,
+            narrow.ids * scale,
+            [
+                dataclasses.replace(s, instance_id=s.instance_id * scale)
+                for s in narrow.segments
+            ],
+        )
+        want = merge_same_category_stuff(narrow, DEFAULT_TAXONOMY)
+        got = merge_same_category_stuff(wide, DEFAULT_TAXONOMY)
+        np.testing.assert_array_equal(got.ids, want.ids * scale)
+        assert got.segments == tuple(
+            dataclasses.replace(s, instance_id=s.instance_id * scale)
+            for s in want.segments
+        )
+        merged += len(want.segments) < len(narrow.segments)
+    assert merged > 0
 
 
 def test_all_strategies_output_valid_maps():

@@ -32,57 +32,57 @@ def test_mask_value_above_one_rejected():
     stack = make_stack(np.full((1, 4, 4), 0.5), [1])
     bad = stack.masks.copy()
     bad[0, 0, 0] = 1.2
-    stack = MaskStack(bad, stack.class_probs, stack.provenance)
     with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-        validate_stack(stack, DEFAULT_TAXONOMY)
+        MaskStack(bad, stack.class_probs, stack.provenance)
 
 
 def test_all_nan_masks_rejected():
-    stack = make_stack(np.full((2, 4, 4), np.nan), [1, 6], [0.9, 0.8])
     with pytest.raises(ValidationError, match="finite"):
-        validate_stack(stack, DEFAULT_TAXONOMY)
+        make_stack(np.full((2, 4, 4), np.nan), [1, 6], [0.9, 0.8])
 
 
 def test_nan_class_probability_rejected():
-    stack = make_stack(np.full((2, 4, 4), 0.7), [1, 6], [0.9, np.nan])
     with pytest.raises(ValidationError, match="finite"):
-        validate_stack(stack, DEFAULT_TAXONOMY)
+        make_stack(np.full((2, 4, 4), 0.7), [1, 6], [0.9, np.nan])
 
 
 @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0)])
 def test_zero_size_frames_validate_and_nan_probabilities_still_fail(shape):
     stack = make_stack(np.zeros(shape), [1, 6], [0.9, 0.8])
     assert validate_stack(stack, DEFAULT_TAXONOMY) is stack
-    stack = make_stack(np.zeros(shape), [1, 6], [0.9, np.nan])
     with pytest.raises(ValidationError, match="class probabilities must be finite"):
-        validate_stack(stack, DEFAULT_TAXONOMY)
+        make_stack(np.zeros(shape), [1, 6], [0.9, np.nan])
 
 
 def test_stuff_without_fixed_category_rejected():
-    stack = make_stack(np.full((1, 4, 4), 0.5), [1])
-    prov = (QueryProvenance(0, False, None),)
     with pytest.raises(ValidationError, match="fixed_category"):
-        validate_stack(
-            MaskStack(stack.masks, stack.class_probs, prov), DEFAULT_TAXONOMY
-        )
+        QueryProvenance(0, False, None)
 
 
 def test_thing_with_fixed_category_rejected():
-    stack = make_stack(np.full((1, 4, 4), 0.5), [1])
-    prov = (QueryProvenance(0, True, 1),)
     with pytest.raises(ValidationError, match="fixed_category"):
-        validate_stack(
-            MaskStack(stack.masks, stack.class_probs, prov), DEFAULT_TAXONOMY
-        )
+        QueryProvenance(0, True, 1)
 
 
 def test_provenance_length_mismatch_rejected():
     masks = np.full((2, 4, 4), 0.5, np.float32)
     probs = np.zeros((2, len(DEFAULT_TAXONOMY)), np.float32)
-    with pytest.raises(ValidationError):
-        validate_stack(
-            MaskStack(masks, probs, (QueryProvenance(0, True),)), DEFAULT_TAXONOMY
-        )
+    with pytest.raises(ValidationError, match="provenance carries 1"):
+        MaskStack(masks, probs, (QueryProvenance(0, True),))
+
+
+@pytest.mark.parametrize(
+    "masks, probs, message",
+    [
+        ((2, 4), (2, 8), r"masks must be \(N, H, W\), got shape \(2, 4\)"),
+        ((2, 4, 4), (2,), r"class_probs must be \(N, C\), got shape \(2,\)"),
+        ((2, 4, 4), (3, 8), "masks carry 2 entries but class_probs carry 3"),
+    ],
+)
+def test_stack_shapes_checked_when_built(masks, probs, message):
+    provenance = (QueryProvenance(0, True), QueryProvenance(1, False, 6))
+    with pytest.raises(ValidationError, match=message):
+        MaskStack(np.zeros(masks), np.zeros(probs), provenance)
 
 
 def test_stack_arrays_are_frozen():
@@ -203,6 +203,14 @@ def test_panoptic_map_reports_lowest_failing_id():
         PanopticMap(sem, ids, (Segment(5, 1),)).validate()
     with pytest.raises(ValidationError, match=r"instance id 5 spans categories \[1, 3\]"):
         PanopticMap(sem, ids, (Segment(2, 2), Segment(5, 1))).validate()
+
+
+@pytest.mark.parametrize(
+    "sem, ids", [((4, 4), (4, 5)), ((4, 4), (4, 4, 1)), ((16,), (16,))]
+)
+def test_panoptic_map_shapes_checked_when_built(sem, ids):
+    with pytest.raises(ValidationError, match="must be equal 2-d shapes"):
+        PanopticMap(np.zeros(sem), np.zeros(ids), ())
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (0, 0)], ids=["0x4", "0x0"])
