@@ -316,14 +316,12 @@ def _read_set(
         index = index / layout.index_name
     data = _load_json(index, layout.schema)
     base = index.parent
+    real_base = os.path.realpath(base)
 
     def inside(name: str) -> Path:
-        """base / name, unless it is a symlink out of the set's directory; a
-        plain name that is no symlink names a file in base itself."""
+        """base / name, unless it resolves out of the set's directory."""
         path = base / name
-        if os.path.islink(path) and (
-            os.path.dirname(os.path.realpath(path)) != os.path.realpath(base)
-        ):
+        if os.path.dirname(os.path.realpath(path)) != real_base:
             raise ValidationError(f"file {name!r} links outside the set's directory")
         return path
 

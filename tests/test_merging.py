@@ -535,6 +535,16 @@ def test_merge_same_category_stuff_same_for_ids_wider_than_the_frame():
             ],
         )
         want = merge_same_category_stuff(narrow, DEFAULT_TAXONOMY)
+        stuff = {c.id for c in DEFAULT_TAXONOMY if not c.is_thing}
+        ref = narrow.ids.copy()  # per-pixel reference: each id to its group's lowest
+        for s in narrow.segments:
+            if s.category_id in stuff:
+                ref[narrow.ids == s.instance_id] = min(
+                    t.instance_id
+                    for t in narrow.segments
+                    if t.category_id == s.category_id
+                )
+        np.testing.assert_array_equal(want.ids, ref)
         got = merge_same_category_stuff(wide, DEFAULT_TAXONOMY)
         np.testing.assert_array_equal(got.ids, want.ids * scale)
         assert got.segments == tuple(
