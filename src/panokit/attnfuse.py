@@ -62,8 +62,8 @@ class FuseHead:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FuseHead":
-        vec = pst.read_pst(path)
-        if vec.ndim != 1 or vec.size < 4:
+        vec = pst.read_pst(path, np.float32)
+        if vec.ndim != 1 or vec.size < 4 or vec.size % 3 != 1:
             raise ValidationError(
                 f"{path}: head file must be a vector of 3h+1 entries, "
                 f"got shape {vec.shape}"

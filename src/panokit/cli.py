@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from functools import cache, reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,6 +53,7 @@ from .types import (
     PanopticMap,
     PanokitError,
     ValidationError,
+    _naming,
     stuff_ids,
     taxonomy_columns,
     token_counts,
@@ -299,19 +299,10 @@ def _check_pair(
         )
 
 
-@contextmanager
-def _naming(prefix: str) -> Iterator[None]:
-    """Prefix the source a ValidationError raised inside is about."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{prefix}: {exc}") from exc
-
-
 def _each_pair(args, call, threads: int = 1):
     """(taxonomy, [call(pred, gt, taxonomy) for each image in gt order]) over
     the --pred and --gt panoptic sets, whose taxonomies and image ids must
-    agree; a ValidationError names both sets and the image."""
+    agree; an error raised by call names both sets and the image."""
     taxonomy, gt_items = read_panoptic_set(args.gt)
     pred_taxonomy, pred_items = read_panoptic_set(args.pred)
     preds = dict(pred_items)
@@ -438,7 +429,7 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    tokens = read_pst(args.attn)
+    tokens = read_pst(args.attn, np.float32)
     if not np.isfinite(tokens).all():
         raise ValidationError(f"{args.attn}: tokens must be finite")
     if tokens.ndim not in (2, 3):

@@ -6,8 +6,8 @@ per image plus tensor files and taxonomy.json beside it: a stack manifest
 lists mask and class-probability tensors plus inline provenance, a panoptic
 directory category and instance-id tensors plus segment records.
 
-Each JSON record's fields and each tensor's stored dtype are spelled once,
-in the tables below; the readers and the writers walk them.
+Each JSON record's fields, each tensor's stored dtype and each set kind's
+taxonomy fit are spelled once, in the tables below; readers and writers walk them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .types import (
     QueryProvenance,
     Segment,
     ValidationError,
+    _naming,
     taxonomy_columns,
     validate_stack,
 )
@@ -175,21 +176,12 @@ _SEGMENT = _Table(
 
 
 class _Tensor(NamedTuple):
-    """One tensor of an image record: its key, which is also the MaskStack or
-    PanopticMap attribute it is written from, its file name suffix and the
-    dtype it is stored as."""
+    """One tensor of an image record: its key (also the item attribute it is
+    written from), its file name suffix and the dtype it is stored as."""
 
     name: str
     suffix: str
     dtype: np.dtype
-
-    def load(self, path: Path) -> np.ndarray:
-        array = read_pst(path)
-        if array.dtype != self.dtype:
-            raise FormatError(
-                f"{path}: {self.name} stored as {array.dtype}, expected {self.dtype}"
-            )
-        return array
 
 
 _MASKS = _Tensor("masks", "masks", np.dtype(np.float32))
@@ -198,17 +190,37 @@ _SEM = _Tensor("sem", "sem", np.dtype(np.uint16))
 _IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
 
 
+def _build_map(sem: np.ndarray, ids: np.ndarray, segments) -> PanopticMap:
+    """The map of stored uint16 sem and uint32 ids, validated."""
+    if ids.max(initial=0) >= 2**31:
+        raise FormatError("instance ids exceed int32 range")
+    return PanopticMap(sem, ids, segments).validate()
+
+
+def _check_categories(pmap: PanopticMap, taxonomy: Sequence[CategorySpec]) -> None:
+    """Raise a ValidationError unless every segment's category is in the taxonomy."""
+    known = taxonomy_columns(taxonomy)
+    for seg in pmap.segments:
+        if seg.category_id not in known:
+            raise ValidationError(
+                f"segment {seg.instance_id} has category "
+                f"{seg.category_id}, which the taxonomy does not list"
+            )
+
+
 @dataclass(frozen=True)
 class _Layout:
-    """One set kind: its index file and schema, the tensors of each image,
-    and the key (also the item attribute) and table of each image's
-    records."""
+    """One set kind: its index file and schema, each image's tensors and the key
+    (also the item attribute) and table of its records, how they build the
+    image's item, and the taxonomy fit that readers and writers both run."""
 
     index_name: str
     schema: str
     tensors: tuple[_Tensor, ...]
     records: str
     table: _Table
+    build: Callable[..., object]
+    fit: Callable[[object, Sequence[CategorySpec]], None]
 
     @property
     def image_fields(self) -> tuple[_Field, ...]:
@@ -219,12 +231,24 @@ class _Layout:
             _Field(self.records, self.table.read),
         )
 
+    def load(self, image_id: str, paths: Sequence[Path], records: tuple, taxonomy):
+        """Read an image's tensors in their stored dtypes, then build and fit its
+        item; an error in either names every tensor path and the image."""
+        arrays = [read_pst(p, t.dtype) for p, t in zip(paths, self.tensors)]
+        with _naming(f"{', '.join(map(str, paths))}: image {image_id}"):
+            item = self.build(*arrays, records)
+            self.fit(item, taxonomy)
+        return item
+
 
 _STACK_SET = _Layout(
-    "manifest.json", STACK_SCHEMA, (_MASKS, _CLASS_PROBS), "provenance", _PROVENANCE
+    "manifest.json", STACK_SCHEMA, (_MASKS, _CLASS_PROBS), "provenance", _PROVENANCE,
+    # looked up at call time, so perfbench's wrapper on manifest.validate_stack sees it
+    build=MaskStack, fit=lambda stack, taxonomy: validate_stack(stack, taxonomy),
 )
 _PANOPTIC_SET = _Layout(
-    "panoptic.json", PANOPTIC_SCHEMA, (_SEM, _IDS), "segments", _SEGMENT
+    "panoptic.json", PANOPTIC_SCHEMA, (_SEM, _IDS), "segments", _SEGMENT,
+    build=_build_map, fit=_check_categories,
 )
 
 
@@ -268,9 +292,9 @@ def _write_set(
     items: Sequence[tuple[str, object]],
     layout: _Layout,
 ) -> Path:
-    """Check the image ids, remove the old index, write taxonomy.json and
-    each image's tensors, then rename the new index into place from a temp
-    file; returns the index path."""
+    """Check the image ids and fit each item to the taxonomy, remove the old
+    index, write taxonomy.json and each image's tensors, then rename the new
+    index into place from a temp file; returns the index path."""
     try:
         image_ids = [_image_id(image_id) for image_id, _ in items]
     except TypeError as exc:  # not a string
@@ -278,6 +302,10 @@ def _write_set(
     duplicate = _duplicate_id(image_ids)
     if duplicate is not None:  # its tensors would overwrite the first's
         raise ValidationError(f"image id {duplicate!r} appears twice in the set")
+    taxonomy_columns(taxonomy)  # id uniqueness, before items are fit to it
+    for image_id, item in items:
+        with _naming(f"image {image_id}"):
+            layout.fit(item, taxonomy)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = out / layout.index_name
@@ -351,15 +379,8 @@ class StackEntry:
     provenance: tuple[QueryProvenance, ...]
 
     def load(self, taxonomy: Sequence[CategorySpec]) -> MaskStack:
-        masks = _MASKS.load(self.masks_path)
-        probs = _CLASS_PROBS.load(self.probs_path)
-        try:
-            return validate_stack(MaskStack(masks, probs, self.provenance), taxonomy)
-        except ValidationError as exc:
-            raise ValidationError(
-                f"{self.masks_path}, {self.probs_path.name}: "
-                f"image {self.image_id}: {exc}"
-            ) from exc
+        paths = (self.masks_path, self.probs_path)
+        return _STACK_SET.load(self.image_id, paths, self.provenance, taxonomy)
 
 
 def write_stack_set(
@@ -384,20 +405,6 @@ def read_stack_manifest(
     ]
 
 
-def _check_categories(
-    where: str, segments: Sequence[Segment], taxonomy: Sequence[CategorySpec]
-) -> None:
-    """Raise a ValidationError prefixed by where unless every segment's
-    category is in the set's taxonomy."""
-    known = taxonomy_columns(taxonomy)
-    for seg in segments:
-        if seg.category_id not in known:
-            raise ValidationError(
-                f"{where}: segment {seg.instance_id} has category "
-                f"{seg.category_id}, which the taxonomy does not list"
-            )
-
-
 def write_panoptic_set(
     out_dir: PathLike,
     taxonomy: Sequence[CategorySpec],
@@ -406,7 +413,6 @@ def write_panoptic_set(
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
     for image_id, pmap in items:
-        _check_categories(f"image {image_id}", pmap.segments, taxonomy)
         bounds = (("category", pmap.sem, 16), ("instance", pmap.ids, 31))
         for name, values, bits in bounds:  # the stored unsigned ids would wrap
             if values.min(initial=0) < 0 or values.max(initial=0) >= 1 << bits:
@@ -422,17 +428,6 @@ def read_panoptic_set(
     """Read a panoptic directory (or its panoptic.json directly); maps are
     validated on load."""
     taxonomy, images = _read_set(path, _PANOPTIC_SET)
-    items = []
-    for image_id, (sem_path, ids_path), segments in images:
-        _check_categories(f"{ids_path}: image {image_id}", segments, taxonomy)
-        sem = _SEM.load(sem_path)
-        ids = _IDS.load(ids_path)
-        if ids.max(initial=0) >= 2**31:
-            raise FormatError(f"{ids_path}: instance ids exceed int32 range")
-        try:
-            pmap = PanopticMap(sem.astype(np.int32), ids.astype(np.int32), segments)
-            pmap.validate()
-        except ValidationError as exc:
-            raise ValidationError(f"{ids_path}: image {image_id}: {exc}") from exc
-        items.append((image_id, pmap))
-    return taxonomy, items
+    return taxonomy, [
+        (image[0], _PANOPTIC_SET.load(*image, taxonomy)) for image in images
+    ]

@@ -45,9 +45,10 @@ def write_pst(path: Union[str, Path], array: np.ndarray) -> None:
         fh.write(payload)  # the array's own buffer, not a bytes copy
 
 
-def read_pst(path: Union[str, Path]) -> np.ndarray:
+def read_pst(path: Union[str, Path], dtype: np.typing.DTypeLike = None) -> np.ndarray:
     """Read a PST1 file; every diagnostic names the offending file.
 
+    With dtype given, a file stored as another dtype is refused from its header.
     The exact length is checked against the file size before the payload is
     read, and the payload is read straight into the returned array.
     """
@@ -63,20 +64,22 @@ def read_pst(path: Union[str, Path]) -> np.ndarray:
         if head[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
         code, ndim = struct.unpack_from("<BB", head, 4)
-        dtype = _CODE_TO_DTYPE.get(code)
-        if dtype is None:
+        stored = _CODE_TO_DTYPE.get(code)
+        if stored is None:
             raise FormatError(f"{path}: unknown dtype code {code}")
+        if dtype is not None and stored != dtype:
+            raise FormatError(f"{path}: stored as {stored}, expected {np.dtype(dtype)}")
         dims_end = 6 + 4 * ndim
         if size < dims_end:
             raise FormatError(f"{path}: truncated dim list")
         dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        nbytes = math.prod(dims) * dtype.itemsize
+        nbytes = math.prod(dims) * stored.itemsize
         if size != dims_end + nbytes:
             raise FormatError(
                 f"{path}: payload is {size - dims_end} bytes, "
                 f"expected {nbytes} for shape {dims}"
             )
-        out = np.empty(dims, dtype)
+        out = np.empty(dims, stored)
         if fh.readinto(out) != nbytes:
             raise FormatError(f"{path}: file changed while it was read")
     return out

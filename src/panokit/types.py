@@ -9,9 +9,10 @@ copied; pass a copy if the caller needs to keep mutating its buffer.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,15 @@ class ValidationError(PanokitError, ValueError):
 
 class FormatError(PanokitError, ValueError):
     """A file or byte stream does not conform to its declared format."""
+
+
+@contextmanager
+def _naming(prefix: str) -> Iterator[None]:
+    """Prefix a PanokitError raised inside with its source; keep its class."""
+    try:
+        yield
+    except PanokitError as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 def check_nonnegative(name: str, value: float) -> None:

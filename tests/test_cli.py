@@ -871,6 +871,58 @@ def test_fuse_shape_errors_name_the_file(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def _fuse(tmp_path, tokens, head):
+    """Exit code of fuse on a 32x32 base, tokens and head written as given;
+    asserts that a failed run writes no mask."""
+    write_pst(tmp_path / "tokens.pst", tokens)
+    write_pst(tmp_path / "head.pst", head)
+    out = tmp_path / "mask.pst"
+    out.unlink(missing_ok=True)
+    code = main(
+        [
+            "fuse", "--attn", str(tmp_path / "tokens.pst"), "--height", "32",
+            "--width", "32", "--head", str(tmp_path / "head.pst"), "--out", str(out),
+        ]
+    )
+    assert code == 0 or not out.exists()
+    return code
+
+
+# file -> a value of it stored in a dtype other than float32, which a cast
+# would take silently
+_FUSE_RECASTS = {
+    "tokens": lambda tokens, head: (tokens.astype(np.uint16), head),
+    "head": lambda tokens, head: (tokens, head.astype(np.uint32)),
+}
+
+
+@pytest.mark.parametrize("bad", _FUSE_RECASTS)
+def test_fuse_refuses_files_not_stored_as_float32(tmp_path, capsys, bad):
+    l1, l2, l3 = token_counts(32, 32)
+    tokens = np.ones((l1 + l2 + l3, 2), np.float32)
+    head = np.ones(3 * 2 + 1, np.float32)
+    assert _fuse(tmp_path, tokens, head) == 0
+    capsys.readouterr()
+    assert _fuse(tmp_path, *_FUSE_RECASTS[bad](tokens, head)) == 2
+    stored = "uint16" if bad == "tokens" else "uint32"
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / (bad + '.pst')}: stored as {stored}, expected float32\n"
+    )
+
+
+@pytest.mark.parametrize("entries", [2, 5, 8])
+def test_fuse_head_of_a_length_other_than_3h_plus_1_names_the_file(
+    tmp_path, capsys, entries
+):
+    l1, l2, l3 = token_counts(32, 32)
+    tokens = np.ones((l1 + l2 + l3, 2), np.float32)
+    assert _fuse(tmp_path, tokens, np.ones(entries, np.float32)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'head.pst'}: head file must be a vector of 3h+1 "
+        f"entries, got shape ({entries},)\n"
+    )
+
+
 # case -> (tokens shape, --height, message). A 64x32 base needs 42 tokens
 # per query; an empty batch builds no MultiScaleAttn, so fuse checks its
 # shape itself.

@@ -10,6 +10,7 @@ from panokit import (
     DEFAULT_TAXONOMY,
     CategorySpec,
     FormatError,
+    MaskStack,
     PanopticMap,
     SceneParams,
     ValidationError,
@@ -415,3 +416,70 @@ def test_set_readers_accept_a_set_under_a_symlinked_directory(tmp_path, kind):
     got = _load_set(kind, tmp_path / "link" / "set")
     want = _load_set(kind, tmp_path / "real" / "set")
     assert [i for i, _ in got] == [i for i, _ in want] == ["a", "b"]
+
+
+def _unfit_stuff_query(stack):
+    """stack with its first stuff query bound to category 99."""
+    k = next(k for k, p in enumerate(stack.provenance) if not p.is_thing)
+    provenance = list(stack.provenance)
+    provenance[k] = dataclasses.replace(provenance[k], fixed_category=99)
+    return MaskStack(stack.masks, stack.class_probs, provenance)
+
+
+def _unfit_segment(gt):
+    """gt with its last segment relabeled to category 42."""
+    seg = gt.segments[-1]
+    return PanopticMap(
+        np.where(gt.ids == seg.instance_id, 42, gt.sem),
+        gt.ids,
+        (*gt.segments[:-1], dataclasses.replace(seg, category_id=42)),
+    )
+
+
+# case -> (set kind, the unfit item of a fitting scene (gt, stack), its rule)
+_UNFIT = {
+    "stuff query bound to 99": (
+        "stack",
+        lambda gt, stack: _unfit_stuff_query(stack),
+        r"stuff query \d+ names unknown category 99",
+    ),
+    "three class_probs columns": (
+        "stack",
+        lambda gt, stack: MaskStack(
+            stack.masks, stack.class_probs[:, :3], stack.provenance
+        ),
+        "class_probs have 3 columns, taxonomy has 8 categories",
+    ),
+    "segment category 42": (
+        "panoptic",
+        lambda gt, stack: _unfit_segment(gt),
+        r"segment \d+ has category 42, which the taxonomy does not list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _UNFIT)
+def test_set_writers_refuse_what_readers_refuse(tmp_path, case):
+    kind, unfit, rule = _UNFIT[case]
+    gt, stack = _scene(0)
+    item = unfit(gt, stack)
+    layout = manifest._STACK_SET if kind == "stack" else manifest._PANOPTIC_SET
+    writer = write_stack_set if kind == "stack" else write_panoptic_set
+    out = tmp_path / "set"
+    with pytest.raises(ValidationError, match=rf"^image a: {rule}"):
+        writer(out, DEFAULT_TAXONOMY, [("a", item)])
+    assert not out.exists()  # refused before the directory was made
+    # write the fitting item, then put the unfit one's tensors and records
+    # in its place, as a writer without the fit check would have
+    index = writer(out, DEFAULT_TAXONOMY, [("a", stack if kind == "stack" else gt)])
+    paths = [out / f"a_{t.suffix}.pst" for t in layout.tensors]
+    for path, tensor in zip(paths, layout.tensors):
+        write_pst(path, getattr(item, tensor.name).astype(tensor.dtype))
+    payload = json.loads(index.read_text())
+    payload["images"][0][layout.records] = layout.table.dump(
+        getattr(item, layout.records)
+    )
+    index.write_text(json.dumps(payload))
+    prefix = re.escape(f"{paths[0]}, {paths[1]}: image a: ")
+    with pytest.raises(ValidationError, match=rf"^{prefix}{rule}"):
+        _load_set(kind, out)
