@@ -8,6 +8,7 @@ bound to one fixed category.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from .losses import (
     _DICE_EPS, _FOCAL_ALPHA, _FOCAL_GAMMA, _LOG_FLOOR, LossWeights, dice_loss, focal_loss
 )
-from .types import QueryProvenance, ValidationError, _extent, binarize
+from .types import QueryProvenance, ValidationError, _extent, _freeze, binarize
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,33 @@ def assignment_cost(costs: np.ndarray, assignment: Assignment) -> float:
     return float(c[qs, ts].sum())
 
 
+def _lock_geometry(item) -> None:
+    """Require a 2-d mask; lock a given box ((4,), finite, ordered) and
+    center ((2,), finite) as float64."""
+    object.__setattr__(item, "mask", np.asarray(item.mask))
+    if item.mask.ndim != 2:
+        raise ValidationError(f"mask must be 2-d, got shape {item.mask.shape}")
+    for name, size in (("box", 4), ("center", 2)):
+        value = getattr(item, name)
+        if value is None:
+            continue
+        value = _freeze(np.asarray(value, np.float64))
+        if value.shape != (size,):
+            raise ValidationError(f"{name} must have shape ({size},), got {value.shape}")
+        coords = value.tolist()  # on 2 or 4 entries, Python floats are cheaper
+        if not all(map(math.isfinite, coords)):
+            raise ValidationError(f"{name} must be finite")
+        if name == "box" and (coords[2] < coords[0] or coords[3] < coords[1]):
+            raise ValidationError("boxes must satisfy x1 >= x0 and y1 >= y0")
+        object.__setattr__(item, name, value)
+
+
 @dataclass(frozen=True)
 class MatchQuery:
-    """One query's predictions entering the matching cost.
+    """One query's predictions entering the matching cost, checked and
+    locked when built (class_probs, box and center as float64).
 
-    class_probs  (C,) probabilities in taxonomy order
+    class_probs  (C,) probabilities in taxonomy order, each in [0, 1]
     mask         (H, W) soft mask
     box          (x0, y0, x1, y1), pixel units, right/bottom exclusive
     center       (y, x) mass center, pixel units
@@ -81,16 +104,30 @@ class MatchQuery:
     box: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        probs = _freeze(np.asarray(self.class_probs, np.float64))
+        if probs.ndim != 1:
+            raise ValidationError(f"pred must be a vector, got shape {probs.shape}")
+        # NaN fails both comparisons, as in MaskStack
+        if not (probs.min(initial=1.0) >= 0.0 and probs.max(initial=0.0) <= 1.0):
+            raise ValidationError("pred entries must lie in [0, 1]")
+        object.__setattr__(self, "class_probs", probs)
+        _lock_geometry(self)
+
 
 @dataclass(frozen=True)
 class MatchTarget:
     """One ground-truth thing entering the matching cost; category_index is
-    a column into class_probs."""
+    a column into class_probs. Mask, box and center are checked as in
+    MatchQuery."""
 
     category_index: int
     mask: np.ndarray
     box: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        _lock_geometry(self)
 
 
 def mass_center(mask: np.ndarray) -> np.ndarray:
@@ -158,13 +195,12 @@ def matching_cost(
     the image extent taken from the query mask.
     """
     cls_cost = focal_loss(query.class_probs, target.category_index)
-    seg_cost = dice_loss(query.mask, np.asarray(target.mask, np.float64))
-    height, width = np.asarray(query.mask).shape
+    seg_cost = dice_loss(query.mask, target.mask)
+    height, width = query.mask.shape
     if location_mode == "box":
         if query.box is None or target.box is None:
             raise ValidationError("box location mode needs boxes on both sides")
-        qb = np.asarray(query.box, np.float64)
-        tb = np.asarray(target.box, np.float64)
+        qb, tb = query.box, target.box
         if normalize:
             scale = np.array([width, height, width, height], np.float64)
             qb, tb = qb / scale, tb / scale
@@ -178,8 +214,7 @@ def matching_cost(
     elif location_mode == "mass_center":
         if query.center is None or target.center is None:
             raise ValidationError("mass_center location mode needs centers on both sides")
-        qc = np.asarray(query.center, np.float64)
-        tc = np.asarray(target.center, np.float64)
+        qc, tc = query.center, target.center
         if normalize:
             scale = np.array([height, width], np.float64)
             qc, tc = qc / scale, tc / scale
@@ -212,24 +247,24 @@ def build_cost_matrix(
         return np.zeros((len(queries), len(targets)), np.float64)
     cls_cost = _class_costs(queries, targets)
     # checked in the order that names the first mismatched pair, row-major
-    shape = np.shape(queries[0].mask)
+    shape = queries[0].mask.shape
     for t in targets:
-        if np.shape(t.mask) != shape:
+        if t.mask.shape != shape:
             raise ValidationError(
-                f"shape mismatch: pred {shape} vs gt {np.shape(t.mask)}"
+                f"shape mismatch: pred {shape} vs gt {t.mask.shape}"
             )
     for q in queries:
-        if np.shape(q.mask) != shape:
+        if q.mask.shape != shape:
             raise ValidationError(
-                f"shape mismatch: pred {np.shape(q.mask)} vs gt {shape}"
+                f"shape mismatch: pred {q.mask.shape} vs gt {shape}"
             )
     height, width = shape
     seg_cost = _dice_costs(queries, targets)
     if location_mode == "box":
         if any(x.box is None for x in (*queries, *targets)):
             raise ValidationError("box location mode needs boxes on both sides")
-        qb = np.stack([np.asarray(q.box, np.float64) for q in queries])
-        tb = np.stack([np.asarray(t.box, np.float64) for t in targets])
+        qb = np.stack([q.box for q in queries])
+        tb = np.stack([t.box for t in targets])
         if normalize:
             scale = np.array([width, height, width, height], np.float64)
             qb, tb = qb / scale, tb / scale
@@ -238,8 +273,8 @@ def build_cost_matrix(
     elif location_mode == "mass_center":
         if any(x.center is None for x in (*queries, *targets)):
             raise ValidationError("mass_center location mode needs centers on both sides")
-        qc = np.stack([np.asarray(q.center, np.float64) for q in queries])
-        tc = np.stack([np.asarray(t.center, np.float64) for t in targets])
+        qc = np.stack([q.center for q in queries])
+        tc = np.stack([t.center for t in targets])
         if normalize:
             scale = np.array([height, width], np.float64)
             qc, tc = qc / scale, tc / scale
@@ -267,19 +302,12 @@ def _class_costs(
     """(Q, T) focal_loss of each query's class probabilities at each
     target's category index: the negative terms of a row are summed once,
     then each column swaps its own class's negative term for the positive."""
-    probs = [np.asarray(q.class_probs, np.float64) for q in queries]
-    for p in probs:
-        if p.ndim != 1:
-            raise ValidationError(f"pred must be a vector, got shape {p.shape}")
-    if len({p.size for p in probs}) != 1:
+    if len({q.class_probs.size for q in queries}) != 1:
         raise ValidationError(
             "every query must carry the same number of class probabilities"
         )
-    p = np.stack(probs)
+    p = np.stack([q.class_probs for q in queries])
     n_cls = p.shape[1]
-    # per row, so that a NaN row does not hide a bad one, as in focal_loss
-    if n_cls and ((p.min(axis=1) < 0.0) | (p.max(axis=1) > 1.0)).any():
-        raise ValidationError("pred entries must lie in [0, 1]")
     for t in targets:
         if not 0 <= t.category_index < n_cls:
             raise ValidationError(
@@ -301,12 +329,12 @@ def _dice_costs(
     intersection with a target is summed inside the bounding window of its
     nonzero pixels only, since pixels outside it add exactly zero. The query
     masks are never stacked: each target copies only its window of each."""
-    masks = [np.asarray(q.mask) for q in queries]
+    masks = [q.mask for q in queries]
     q_sums = np.array([m.sum(dtype=np.float64) for m in masks])
     inter = np.zeros((len(queries), len(targets)), np.float64)
     t_sums = np.zeros(len(targets), np.float64)
     for j, target in enumerate(targets):
-        gt = np.asarray(target.mask)
+        gt = target.mask
         rows, cols = _extent(gt)
         window = np.stack([m[rows, cols] for m in masks])
         gt = gt[rows, cols]
@@ -331,10 +359,7 @@ def _cxcywh(boxes: np.ndarray) -> np.ndarray:
 
 
 def _giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(Q, T) giou of every pair of rows of (Q, 4) and (T, 4) boxes."""
-    for boxes in (a, b):
-        if ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
-            raise ValidationError("boxes must satisfy x1 >= x0 and y1 >= y0")
+    """(Q, T) giou of every pair of rows of (Q, 4) and (T, 4) ordered boxes."""
     a, b = a[:, None], b[None]
     overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     inter = np.prod(np.maximum(0.0, overlap), axis=-1)

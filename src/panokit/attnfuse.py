@@ -18,12 +18,12 @@ import numpy as np
 from scipy.special import expit
 
 from . import pst
-from .types import MultiScaleAttn, ValidationError, token_counts
+from .types import MultiScaleAttn, ValidationError, _naming, token_counts
 
 
 @dataclass(frozen=True)
 class FuseHead:
-    """Per-pixel linear head over 3h fused channels: 3h weights + 1 bias."""
+    """Per-pixel linear head over 3h fused channels: 3h weights + 1 bias, all finite."""
 
     weights: np.ndarray
     bias: float
@@ -34,6 +34,8 @@ class FuseHead:
             raise ValidationError(
                 f"weights must be a vector of 3h entries, got shape {w.shape}"
             )
+        if not np.isfinite(np.append(w, self.bias)).all():
+            raise ValidationError("head weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
@@ -63,14 +65,12 @@ class FuseHead:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FuseHead":
         vec = pst.read_pst(path, np.float32)
-        if vec.ndim != 1 or vec.size < 4 or vec.size % 3 != 1:
-            raise ValidationError(
-                f"{path}: head file must be a vector of 3h+1 entries, "
-                f"got shape {vec.shape}"
-            )
-        if not np.isfinite(vec).all():
-            raise ValidationError(f"{path}: head weights must be finite")
-        return cls(vec[:-1].astype(np.float64), float(vec[-1]))
+        with _naming(str(path)):
+            if vec.ndim != 1 or vec.size < 4 or vec.size % 3 != 1:
+                raise ValidationError(
+                    f"head file must be a vector of 3h+1 entries, got shape {vec.shape}"
+                )
+            return cls(vec[:-1].astype(np.float64), float(vec[-1]))
 
 
 def split_attn(attn: MultiScaleAttn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

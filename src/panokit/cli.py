@@ -1,8 +1,9 @@
 """Command-line surface: synth, merge, eval, assign, fuse, stats, bench.
 
-Exit codes: 0 success, 1 usage error, 2 data error. All numeric flags
-default to the reference operating point (alpha=1, beta=2, t_cnf=0.25,
-t_keep=0.6, lambdas 2,1,1). No environment variables affect results.
+Exit codes: 0 success, 1 usage error, 2 data error. The merge, assign and
+synth flags default to the field defaults of the parameter types they fill
+(ScoreParams, MergeParams, LossWeights, SceneParams); bench keeps its own.
+No environment variables affect results.
 """
 
 from __future__ import annotations
@@ -110,12 +111,16 @@ def build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="generate a synthetic image set")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--images", type=_positive_int, default=1)
-    p_synth.add_argument("--n", type=int, default=4, help="things per image")
-    p_synth.add_argument("--h", type=int, default=64)
-    p_synth.add_argument("--w", type=int, default=64)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--bands", type=int, default=2, help="stuff bands per image")
-    p_synth.add_argument("--overlap-bias", type=float, default=0.0)
+    p_synth.add_argument(
+        "--n", type=int, default=SceneParams.n_things, help="things per image"
+    )
+    p_synth.add_argument("--h", type=int, default=SceneParams.height)
+    p_synth.add_argument("--w", type=int, default=SceneParams.width)
+    p_synth.add_argument("--noise", type=float, default=SceneParams.noise_sigma)
+    p_synth.add_argument(
+        "--bands", type=int, default=SceneParams.stuff_bands, help="stuff bands per image"
+    )
+    p_synth.add_argument("--overlap-bias", type=float, default=SceneParams.overlap_bias)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=_cmd_synth)
 
@@ -125,11 +130,11 @@ def build_parser() -> _Parser:
     p_merge.add_argument(
         "--strategy", choices=STRATEGIES, default="maskwise"
     )
-    p_merge.add_argument("--alpha", type=float, default=1.0)
-    p_merge.add_argument("--beta", type=float, default=2.0)
-    p_merge.add_argument("--t-cnf", type=float, default=0.25)
-    p_merge.add_argument("--t-keep", type=float, default=0.6)
-    p_merge.add_argument("--min-area", type=int, default=0)
+    p_merge.add_argument("--alpha", type=float, default=ScoreParams.alpha)
+    p_merge.add_argument("--beta", type=float, default=ScoreParams.beta)
+    p_merge.add_argument("--t-cnf", type=float, default=MergeParams.t_cnf)
+    p_merge.add_argument("--t-keep", type=float, default=MergeParams.t_keep)
+    p_merge.add_argument("--min-area", type=int, default=MergeParams.min_area)
     p_merge.add_argument(
         "--merge-stuff",
         choices=("auto", "on", "off"),
@@ -158,7 +163,8 @@ def build_parser() -> _Parser:
     p_assign.add_argument(
         "--location-mode", choices=("box", "center"), default="box"
     )
-    p_assign.add_argument("--lambdas", type=_lambda_triple, default=(2.0, 1.0, 1.0))
+    lambdas = (LossWeights.lambda_cls, LossWeights.lambda_seg, LossWeights.lambda_det)
+    p_assign.add_argument("--lambdas", type=_lambda_triple, default=lambdas)
     p_assign.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
@@ -430,8 +436,6 @@ def _cmd_assign(args) -> int:
 
 def _cmd_fuse(args) -> int:
     tokens = read_pst(args.attn, np.float32)
-    if not np.isfinite(tokens).all():
-        raise ValidationError(f"{args.attn}: tokens must be finite")
     if tokens.ndim not in (2, 3):
         raise ValidationError(f"{args.attn}: expected (L, h) or (N, L, h) tokens")
     heads = int(tokens.shape[-1])
@@ -453,9 +457,11 @@ def _cmd_fuse(args) -> int:
     else:
         head = FuseHead.seeded(heads, args.seed_head)
     batch = tokens[None] if tokens.ndim == 2 else tokens
+    with _naming(args.attn):
+        attns = [MultiScaleAttn(t, heads, args.height, args.width) for t in batch]
     masks = np.empty((len(batch), args.height // 8, args.width // 8), np.float32)
-    for i, t in enumerate(batch):
-        masks[i] = attn_to_mask(MultiScaleAttn(t, heads, args.height, args.width), head)
+    for i, attn in enumerate(attns):
+        masks[i] = attn_to_mask(attn, head)
     out_arr = masks[0] if tokens.ndim == 2 else masks
     write_pst(args.out, out_arr)
     print(f"wrote {out_arr.shape} soft masks to {args.out}")

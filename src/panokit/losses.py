@@ -58,7 +58,8 @@ def focal_loss(
     p = np.asarray(pred, np.float64)
     if p.ndim != 1:
         raise ValidationError(f"pred must be a vector, got shape {p.shape}")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    # NaN fails both comparisons; the in-range initial values reduce size 0
+    if not (p.min(initial=1.0) >= 0.0 and p.max(initial=0.0) <= 1.0):
         raise ValidationError("pred entries must lie in [0, 1]")
     if target is not None and not 0 <= target < p.size:
         raise ValidationError(

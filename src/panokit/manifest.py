@@ -190,13 +190,6 @@ _SEM = _Tensor("sem", "sem", np.dtype(np.uint16))
 _IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
 
 
-def _build_map(sem: np.ndarray, ids: np.ndarray, segments) -> PanopticMap:
-    """The map of stored uint16 sem and uint32 ids, validated."""
-    if ids.max(initial=0) >= 2**31:
-        raise FormatError("instance ids exceed int32 range")
-    return PanopticMap(sem, ids, segments).validate()
-
-
 def _check_categories(pmap: PanopticMap, taxonomy: Sequence[CategorySpec]) -> None:
     """Raise a ValidationError unless every segment's category is in the taxonomy."""
     known = taxonomy_columns(taxonomy)
@@ -248,7 +241,8 @@ _STACK_SET = _Layout(
 )
 _PANOPTIC_SET = _Layout(
     "panoptic.json", PANOPTIC_SCHEMA, (_SEM, _IDS), "segments", _SEGMENT,
-    build=_build_map, fit=_check_categories,
+    build=lambda sem, ids, segments: PanopticMap(sem, ids, segments).validate(),
+    fit=_check_categories,
 )
 
 

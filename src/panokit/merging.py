@@ -51,12 +51,8 @@ class MergeParams:
             raise ValidationError(f"t_cnf must lie in [0, 1], got {self.t_cnf}")
         if not 0.0 <= self.t_keep <= 1.0:
             raise ValidationError(f"t_keep must lie in [0, 1], got {self.t_keep}")
-        _check_min_area(self.min_area)
-
-
-def _check_min_area(min_area: int) -> None:
-    if min_area < 0:
-        raise ValidationError(f"min_area must be >= 0, got {min_area}")
+        if self.min_area < 0:
+            raise ValidationError(f"min_area must be >= 0, got {self.min_area}")
 
 
 # Pixels per row strip of _first_max: the strip's float64 maximum and product
@@ -218,12 +214,12 @@ def pixel_wise_argmax(
     gives an all-void map. Same-category stuff segments are merged by
     default, matching the detector-style baseline this reproduces.
     """
-    _check_min_area(min_area)
+    params = MergeParams(min_area=min_area, merge_same_stuff=merge_stuff)
     cats, probs = predicted_labels(stack, taxonomy)
     canvas = _Canvas(stack, cats, probs)
     weights = probs if weighted else None
-    canvas.fill(range(stack.n), weights, min_area)
-    return canvas.finish(taxonomy, merge_stuff)
+    canvas.fill(range(stack.n), weights, params.min_area)
+    return canvas.finish(taxonomy, params.merge_same_stuff)
 
 
 def heuristic_merge(

@@ -23,7 +23,7 @@ _CODE_TO_DTYPE = {
     1: np.dtype("<u2"),
     2: np.dtype("<u4"),
 }
-_KIND_TO_CODE = {("f", 4): 0, ("u", 2): 1, ("u", 4): 2}
+_KIND_TO_CODE = {(d.kind, d.itemsize): code for code, d in _CODE_TO_DTYPE.items()}
 
 
 def write_pst(path: Union[str, Path], array: np.ndarray) -> None:

@@ -24,6 +24,7 @@ from .types import (
     PanopticMap,
     QueryProvenance,
     Segment,
+    VOID,
     ValidationError,
     check_nonnegative,
     taxonomy_columns,
@@ -330,24 +331,17 @@ def generate_scene(
 
     windows = [s.window(height, width) for s in shapes]
     boxes = [s.bounds(height, width) for s in shapes]
-    sem = np.zeros((height, width), np.int32)
+    # instance ids: thing t is t + 1, band j is n + 1 + j
     ids = np.zeros((height, width), np.int32)
     for t in range(n - 1, -1, -1):  # deepest first; shallower overwrite
         y0, y1, x0, x1 = boxes[t]
-        sem[y0:y1, x0:x1][windows[t]] = cats[t]
         ids[y0:y1, x0:x1][windows[t]] = t + 1
-    segments = [Segment(t + 1, cats[t]) for t in range(n)]
-    next_id = n + 1
-    claimed = ids > 0
-    for j, (y0, y1) in enumerate(band_rows):
-        region = np.zeros((height, width), bool)
-        region[y0:y1] = True
-        region &= ~claimed
-        sem[region] = band_cats[j]
-        ids[region] = next_id
-        segments.append(Segment(next_id, band_cats[j]))
-        next_id += 1
-    gt = PanopticMap(sem, ids, tuple(segments))
+    for j, (y0, y1) in enumerate(band_rows):  # bands take their unclaimed rows
+        rows = ids[y0:y1]
+        rows[rows == VOID] = n + 1 + j
+    seg_cats = [*cats, *band_cats]
+    segments = tuple(Segment(i + 1, cat) for i, cat in enumerate(seg_cats))
+    gt = PanopticMap(np.array([VOID, *seg_cats], np.int32)[ids], ids, segments)
 
     n_masks = n + k
     masks = np.zeros((n_masks, height, width), np.float32)

@@ -241,6 +241,9 @@ class PanopticMap:
 
     sem  (H, W) int32 category ids, 0 = void
     ids  (H, W) int32 instance ids, 0 = void, 1-based otherwise
+
+    Either raster may be given in any dtype whose values int32 holds
+    exactly; a value outside int32 or with a fraction is refused, not cast.
     """
 
     sem: np.ndarray
@@ -248,8 +251,8 @@ class PanopticMap:
     segments: tuple[Segment, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sem", _freeze(np.asarray(self.sem, np.int32)))
-        object.__setattr__(self, "ids", _freeze(np.asarray(self.ids, np.int32)))
+        object.__setattr__(self, "sem", _freeze(_int32_raster(self.sem, "category")))
+        object.__setattr__(self, "ids", _freeze(_int32_raster(self.ids, "instance")))
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
             raise ValidationError(
@@ -292,6 +295,22 @@ class PanopticMap:
                     f"segment record says {cat}"
                 )
         return self
+
+
+def _int32_raster(values, what: str) -> np.ndarray:
+    """values as int32, refusing a value the cast would change: one outside
+    int32 (NaN and inf included) or one with a fraction. A dtype that int32
+    holds (int32, uint16, bool) is not read; uint32 costs one max pass."""
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.int32):
+        return arr.astype(np.int32, copy=False)
+    low = arr.dtype.kind == "u" or arr.min(initial=0) >= -(2**31)
+    if not (low and arr.max(initial=0) < 2**31):
+        raise ValidationError(f"{what} ids exceed int32 range")
+    out = arr.astype(np.int32)
+    if arr.dtype.kind not in "iu" and not np.array_equal(out, arr):
+        raise ValidationError(f"{what} ids must be whole numbers")
+    return out
 
 
 def _pair_counts(
@@ -353,3 +372,5 @@ class MultiScaleAttn:
                 f"tokens must have shape ({expected}, {self.heads}) for a "
                 f"{self.base_height}x{self.base_width} base, got {self.tokens.shape}"
             )
+        if not np.isfinite(self.tokens).all():
+            raise ValidationError("tokens must be finite")

@@ -17,6 +17,7 @@ from panokit import (
     bbox_of,
     build_cost_matrix,
     decoupled_assign,
+    focal_loss,
     giou,
     hungarian,
     mass_center,
@@ -174,6 +175,47 @@ def test_matching_cost_floor_at_exact_reproduction():
     assert cost == pytest.approx(0.0, abs=1e-9)
 
 
+def _match_inputs():
+    """A valid (probs, mask, box, center) for one query or target."""
+    mask = np.zeros((8, 8), np.float32)
+    mask[2:5, 3:6] = 0.9
+    return np.full(4, 0.25), mask, bbox_of(mask), mass_center(mask)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("probs", np.array([0.25, np.nan, 0.25, 0.25]), r"pred entries must lie in \[0, 1\]"),
+        ("probs", np.full((2, 2), 0.25), r"pred must be a vector, got shape \(2, 2\)"),
+        ("mask", np.zeros((1, 8, 8)), r"mask must be 2-d, got shape \(1, 8, 8\)"),
+        ("box", np.array([1.0, 2.0]), r"box must have shape \(4,\), got \(2,\)"),
+        ("box", np.array([1.0, 2.0, np.inf, 5.0]), "box must be finite"),
+        ("box", np.array([5.0, 2.0, 3.0, 5.0]), "boxes must satisfy x1 >= x0"),
+        ("center", np.array([np.nan, 2.0]), "center must be finite"),
+        ("center", np.array([1.0, 2.0, 3.0]), r"center must have shape \(2,\), got \(3,\)"),
+    ],
+)
+def test_match_inputs_are_checked_when_built(field, value, message):
+    inputs = dict(zip(("probs", "mask", "box", "center"), _match_inputs()))
+    inputs[field] = value
+    probs, mask, box, center = inputs.values()
+    with pytest.raises(ValidationError, match=message):
+        MatchQuery(probs, mask, box, center)
+    if field != "probs":
+        with pytest.raises(ValidationError, match=message):
+            MatchTarget(0, mask, box, center)
+
+
+def test_match_inputs_are_locked_as_float64():
+    probs, mask, box, center = _match_inputs()
+    query = MatchQuery(probs.astype(np.float32), mask, box.astype(np.int64), center)
+    target = MatchTarget(0, mask > 0.5, box, center)
+    for item in (query, target):
+        for values in (item.box, item.center):
+            assert values.dtype == np.float64 and not values.flags.writeable
+    assert query.class_probs.dtype == np.float64 and not query.class_probs.flags.writeable
+
+
 def _scalar_matrix(queries, targets, weights, mode, normalize=True):
     """The cost matrix rebuilt entry by entry from the scalar reference."""
     out = np.zeros((len(queries), len(targets)))
@@ -308,6 +350,14 @@ def _defect(kind):
     return [query, bad_query], [target, bad_target]
 
 
+# kind -> the scalar function that matching_cost would call on the defect
+_CONSTRUCTION_DEFECTS = {
+    "probs_not_vector": lambda: focal_loss(np.full((2, 2), 0.25), 1),
+    "probs_out_of_range": lambda: focal_loss(np.array([0.1, 1.5, 0.0, 0.2]), 1),
+    "reversed_box": lambda: giou(np.array([5.0, 2.0, 3.0, 5.0]), np.zeros(4)),
+}
+
+
 @pytest.mark.parametrize(
     "kind, mode",
     [
@@ -322,6 +372,15 @@ def _defect(kind):
     ],
 )
 def test_build_cost_matrix_rejects_what_matching_cost_rejects(kind, mode):
+    if kind in _CONSTRUCTION_DEFECTS:
+        # MatchQuery refuses these when built, with the message of the
+        # raw-array function that matching_cost would call on them
+        with pytest.raises(ValidationError) as scalar:
+            _CONSTRUCTION_DEFECTS[kind]()
+        with pytest.raises(ValidationError) as built:
+            _defect(kind)
+        assert str(built.value) == str(scalar.value)
+        return
     queries, targets = _defect(kind)
     with pytest.raises(ValidationError) as scalar:
         _scalar_matrix(queries, targets, LossWeights(), mode)

@@ -53,6 +53,25 @@ def test_token_count_mismatch_rejected():
         MultiScaleAttn(np.zeros((20, 1), np.float32), 1, 32, 32)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_token_rejected(bad):
+    tokens = _attn(32, 32, 2).tokens.copy()
+    tokens[3, 1] = bad
+    with pytest.raises(ValidationError, match="^tokens must be finite$"):
+        MultiScaleAttn(tokens, 2, 32, 32)
+
+
+@pytest.mark.parametrize("field", ["weight", "bias"])
+def test_nonfinite_head_rejected(field):
+    weights, bias = np.full(6, 0.5), 0.5
+    if field == "weight":
+        weights[4] = np.nan
+    else:
+        bias = np.inf
+    with pytest.raises(ValidationError, match="^head weights must be finite$"):
+        FuseHead(weights, bias)
+
+
 def test_bilinear_constant_preserved():
     arr = np.full((3, 5, 2), 1.5, np.float64)
     up = bilinear_upsample(arr, 2)

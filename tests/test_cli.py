@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 
 import numpy as np
@@ -18,6 +18,7 @@ from panokit.manifest import (
 from panokit.merging import MergeParams
 from panokit.metrics import PqReport, QueryStats, pq, query_stats
 from panokit.pst import read_pst, write_pst
+from panokit.scoring import ScoreParams
 from panokit import (
     DEFAULT_TAXONOMY,
     CategorySpec,
@@ -1124,3 +1125,49 @@ def test_fuse_tokens_without_heads_name_the_file(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'tokens.pst'}: ")
     assert not out.exists()
+
+
+# (subcommand, parsed attribute, parameter type, the fields its default restates)
+_FLAG_DEFAULTS = [
+    ("synth", "n", SceneParams, ("n_things",)),
+    ("synth", "h", SceneParams, ("height",)),
+    ("synth", "w", SceneParams, ("width",)),
+    ("synth", "noise", SceneParams, ("noise_sigma",)),
+    ("synth", "bands", SceneParams, ("stuff_bands",)),
+    ("synth", "overlap_bias", SceneParams, ("overlap_bias",)),
+    ("merge", "alpha", ScoreParams, ("alpha",)),
+    ("merge", "beta", ScoreParams, ("beta",)),
+    ("merge", "t_cnf", MergeParams, ("t_cnf",)),
+    ("merge", "t_keep", MergeParams, ("t_keep",)),
+    ("merge", "min_area", MergeParams, ("min_area",)),
+    ("assign", "lambdas", LossWeights, ("lambda_cls", "lambda_seg", "lambda_det")),
+]
+_REQUIRED_FLAGS = {
+    "synth": ["--out", "o"],
+    "merge": ["--in", "i", "--out", "o"],
+    "assign": ["--pred", "p", "--gt", "g", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command, dest, params, names", _FLAG_DEFAULTS)
+def test_flag_defaults_are_the_parameter_types_field_defaults(command, dest, params, names):
+    args = build_parser().parse_args([command, *_REQUIRED_FLAGS[command]])
+    defaults = {f.name: f.default for f in fields(params)}
+    parsed = getattr(args, dest)
+    assert (parsed if len(names) > 1 else (parsed,)) == tuple(defaults[n] for n in names)
+
+
+def test_eval_refuses_a_stored_instance_id_beyond_int32(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "3", "--out", str(data)]) == 0
+    ids = read_pst(data / "gt" / "0000_ids.pst")
+    ids[0, 0] = 2**31
+    write_pst(data / "gt" / "0000_ids.pst", ids)
+    capsys.readouterr()
+    argv = ["eval", "--pred", str(data / "gt"), "--gt", str(data / "gt")]
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == 2
+    gt = data / "gt"
+    assert capsys.readouterr().err == (
+        f"error: {gt / '0000_sem.pst'}, {gt / '0000_ids.pst'}: image 0000: "
+        "instance ids exceed int32 range\n"
+    )

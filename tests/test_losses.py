@@ -52,6 +52,12 @@ def test_focal_log_clamp_keeps_finite():
     assert math.isfinite(focal_loss(pred, 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+def test_focal_rejects_probabilities_outside_the_unit_interval(bad):
+    with pytest.raises(ValidationError, match=r"pred entries must lie in \[0, 1\]"):
+        focal_loss([bad, 0.2], 1)
+
+
 def test_dice_identical_binary_is_zero():
     g = np.zeros((4, 4), np.float64)
     g[:2] = 1.0

@@ -152,6 +152,17 @@ def test_panoptic_set_ids_at_another_shape_name_the_file(tmp_path):
         read_panoptic_set(tmp_path / "maps")
 
 
+def test_panoptic_set_refuses_a_stored_id_beyond_int32(tmp_path):
+    gt, _ = _scene(0)
+    write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", gt)])
+    ids = gt.ids.astype(np.uint32)
+    ids[3, 5] = 2**31  # the int32 cast would make it negative
+    write_pst(tmp_path / "maps" / "a_ids.pst", ids)
+    message = r"a_ids\.pst: image a: instance ids exceed int32 range$"
+    with pytest.raises(ValidationError, match=message):
+        read_panoptic_set(tmp_path / "maps")
+
+
 @pytest.mark.parametrize(
     "raster, value, message",
     [

@@ -260,3 +260,30 @@ def test_token_counts_32():
 def test_token_counts_requires_multiple_of_32():
     with pytest.raises(ValidationError):
         token_counts(48, 64)
+
+
+@pytest.mark.parametrize(
+    "raster, values, message",
+    [
+        ("ids", np.array([[1, 2**32 + 1]], np.int64), "instance ids exceed int32 range"),
+        ("ids", np.array([[1, -(2**31) - 1]], np.int64), "instance ids exceed int32 range"),
+        ("ids", np.array([[1, 2**31]], np.uint32), "instance ids exceed int32 range"),
+        ("sem", np.array([[3.7, 1.9]]), "category ids must be whole numbers"),
+        ("ids", np.array([[1.0, np.nan]]), "instance ids exceed int32 range"),
+        ("sem", np.array([[1.0, np.inf]]), "category ids exceed int32 range"),
+    ],
+)
+def test_panoptic_map_refuses_values_its_int32_cast_would_change(raster, values, message):
+    rasters = {"sem": np.ones((1, 2), np.int32), "ids": np.ones((1, 2), np.int32)}
+    rasters[raster] = values
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        PanopticMap(rasters["sem"], rasters["ids"])
+
+
+def test_panoptic_map_takes_rasters_int32_holds_exactly():
+    ids = np.array([[-1, 0, 2**31 - 1]], np.int64)  # negative ids stay constructible
+    sem = np.array([[1.0, 0.0, 2.0]])
+    pmap = PanopticMap(sem, ids)
+    assert pmap.ids.dtype == pmap.sem.dtype == np.int32
+    np.testing.assert_array_equal(pmap.ids, ids)
+    np.testing.assert_array_equal(pmap.sem, [[1, 0, 2]])
