@@ -9,7 +9,6 @@ No environment variables affect results.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, reduce
@@ -31,6 +30,7 @@ from .assignment import (
 from .attnfuse import FuseHead, attn_to_mask
 from .bench import STRATEGIES, bench, format_bench_table
 from .manifest import (
+    _dump_json,
     read_panoptic_set,
     read_stack_manifest,
     write_panoptic_set,
@@ -208,11 +208,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _map_images(threads: int, fn, items: Sequence):
     if threads <= 1:
         return [fn(item) for item in items]
@@ -328,7 +323,7 @@ def _cmd_eval(args) -> int:
     )
     total = reduce(PqReport.merge, reports, PqReport())
     aggregates = total.aggregates(taxonomy)
-    _write_json(
+    _dump_json(
         args.out,
         {
             "schema": "pq-report/1",
@@ -429,7 +424,7 @@ def _cmd_assign(args) -> int:
                 "total_cost": assignment_cost(costs, result.things),
             }
         )
-    _write_json(args.out, {"schema": "assignment/1", "images": images_out})
+    _dump_json(args.out, {"schema": "assignment/1", "images": images_out})
     print(f"assigned {len(images_out)} images -> {args.out}")
     return 0
 
@@ -474,7 +469,7 @@ def _cmd_stats(args) -> int:
     rows = decile_table(merged)
     print(format_decile_table(rows))
     if args.out:
-        _write_json(
+        _dump_json(
             args.out,
             {"schema": "query-stats/1", "per_query": merged.query_rows(), "table": rows},
         )
@@ -504,7 +499,7 @@ def _cmd_bench(args) -> int:
     report = bench(source, taxonomy, args.strategies, args.reps)
     print(format_bench_table(report))
     if args.out:
-        _write_json(args.out, report)
+        _dump_json(args.out, report)
     return 0
 
 

@@ -21,26 +21,25 @@ from .types import (
 )
 
 _LOG_FLOOR = 1e-12
-# focal terms of Lin et al. (arXiv 1708.02002), dice smoothing of DETR's
+# focal terms of Lin et al. (arXiv 1708.02002); dice smoothing and the number
+# of supervised decoder layers of DETR's
 _FOCAL_GAMMA = 2.0
 _FOCAL_ALPHA = 0.25
 _DICE_EPS = 1.0
+_DECODER_LAYERS = 6
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights and the number of supervised decoder layers."""
+    """Weights of the classification, segmentation and detection terms."""
 
     lambda_cls: float = 2.0
     lambda_seg: float = 1.0
     lambda_det: float = 1.0
-    layers: int = 6
 
     def __post_init__(self) -> None:
         for name in ("lambda_cls", "lambda_seg", "lambda_det"):
             check_nonnegative(f"loss weight {name}", getattr(self, name))
-        if self.layers < 1:
-            raise ValidationError(f"layers must be >= 1, got {self.layers}")
 
 
 def focal_loss(
@@ -76,28 +75,26 @@ def focal_loss(
     return total
 
 
-def _dice_terms(pred, gt, eps: float) -> tuple[np.ndarray, float, float]:
+def _dice_terms(pred, gt) -> tuple[np.ndarray, float, float]:
     """gt as float64, and the numerator and denominator of dice_loss."""
     p = np.asarray(pred, np.float64)
     g = np.asarray(gt, np.float64)
     if p.shape != g.shape:
         raise ValidationError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
-    num = 2.0 * float((p * g).sum()) + eps
-    den = float(p.sum()) + float(g.sum()) + eps
+    num = 2.0 * float((p * g).sum()) + _DICE_EPS
+    den = float(p.sum()) + float(g.sum()) + _DICE_EPS
     return g, num, den
 
 
-def dice_loss(pred: np.ndarray, gt: np.ndarray, eps: float = _DICE_EPS) -> float:
-    """1 - (2*sum(pred*gt) + eps) / (sum(pred) + sum(gt) + eps)."""
-    _, num, den = _dice_terms(pred, gt, eps)
+def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
+    """1 - (2*sum(pred*gt) + 1) / (sum(pred) + sum(gt) + 1)."""
+    _, num, den = _dice_terms(pred, gt)
     return 1.0 - num / den
 
 
-def dice_loss_grad(
-    pred: np.ndarray, gt: np.ndarray, eps: float = _DICE_EPS
-) -> np.ndarray:
+def dice_loss_grad(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Analytic d dice_loss / d pred, elementwise; provided for test use."""
-    g, num, den = _dice_terms(pred, gt, eps)
+    g, num, den = _dice_terms(pred, gt)
     return (num - 2.0 * g * den) / den**2
 
 
@@ -109,9 +106,9 @@ def deep_supervised_loss(
     """Weighted sum over decoder layers of (cls, seg) losses, plus one
     detection term for the thing variant; det_loss=None is the stuff
     variant, which has no detection term."""
-    if len(per_layer) != weights.layers:
+    if len(per_layer) != _DECODER_LAYERS:
         raise ValidationError(
-            f"expected {weights.layers} layer pairs, got {len(per_layer)}"
+            f"expected {_DECODER_LAYERS} layer pairs, got {len(per_layer)}"
         )
     total = 0.0 if det_loss is None else weights.lambda_det * det_loss
     for cls_loss, seg_loss in per_layer:

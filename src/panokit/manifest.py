@@ -246,7 +246,10 @@ _PANOPTIC_SET = _Layout(
 )
 
 
-def _dump_json(path: Path, payload: dict) -> None:
+def _dump_json(path: PathLike, payload: dict) -> None:
+    """Write payload as indented JSON, making the parent directory if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -263,7 +266,7 @@ def _duplicate_id(image_ids: Sequence[str]) -> Optional[str]:
 def save_taxonomy(path: PathLike, taxonomy: Sequence[CategorySpec]) -> None:
     taxonomy_columns(taxonomy)  # id uniqueness
     _dump_json(
-        Path(path),
+        path,
         {"schema": TAXONOMY_SCHEMA, "categories": _CATEGORY.dump(taxonomy)},
     )
 
@@ -407,12 +410,11 @@ def write_panoptic_set(
     """Write per-image sem/ids tensors plus panoptic.json last; returns the
     index path. An interrupted rewrite leaves no index."""
     for image_id, pmap in items:
-        bounds = (("category", pmap.sem, 16), ("instance", pmap.ids, 31))
-        for name, values, bits in bounds:  # the stored unsigned ids would wrap
-            if values.min(initial=0) < 0 or values.max(initial=0) >= 1 << bits:
-                raise ValidationError(
-                    f"image {image_id}: {name} ids must lie in [0, 2**{bits})"
-                )
+        # the stored unsigned ids would wrap; int32 instance ids are below 2**31
+        if pmap.sem.min(initial=0) < 0 or pmap.sem.max(initial=0) >= 1 << 16:
+            raise ValidationError(f"image {image_id}: category ids must lie in [0, 2**16)")
+        if pmap.ids.min(initial=0) < 0:
+            raise ValidationError(f"image {image_id}: instance ids must lie in [0, 2**31)")
     return _write_set(out_dir, taxonomy, items, _PANOPTIC_SET)
 
 

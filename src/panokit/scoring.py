@@ -65,19 +65,13 @@ def predicted_labels(
     """
     validate_stack(stack, taxonomy)
     columns = taxonomy_columns(taxonomy)
-    ids_by_column = np.array([c.id for c in taxonomy], np.int64)
-    cats = np.zeros(stack.n, np.int64)
-    probs = np.zeros(stack.n, np.float64)
-    for i, prov in enumerate(stack.provenance):
-        row = stack.class_probs[i].astype(np.float64)
-        if prov.is_thing:
-            col = int(np.argmax(row))
-            cats[i] = ids_by_column[col]
-            probs[i] = row[col]
-        else:
-            cats[i] = prov.fixed_category
-            probs[i] = row[columns[prov.fixed_category]]
-    return cats, probs
+    # a thing has no fixed category: -1 marks its column until the argmax
+    cols = np.array([columns.get(p.fixed_category, -1) for p in stack.provenance], np.intp)
+    things = cols < 0
+    if things.any():
+        cols[things] = stack.class_probs[things].argmax(axis=1)
+    cat_of = np.fromiter(columns, np.int64, len(columns))  # keys in column order
+    return cat_of[cols], stack.class_probs[np.arange(stack.n), cols].astype(np.float64)
 
 
 def stack_scores(

@@ -234,6 +234,12 @@ class Segment:
     source_query: Optional[int] = None
     score: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.score is not None and not math.isfinite(self.score):
+            raise ValidationError(
+                f"segment {self.instance_id} score must be finite, got {self.score}"
+            )
+
 
 @dataclass(frozen=True)
 class PanopticMap:

@@ -459,20 +459,26 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 
 
 def _assert_threads_match_sequential(tmp_path, synth_args, merge_args):
+    """merge, and eval of its maps against the set's gt, write the same
+    files with --threads 3 as with --threads 1."""
     data = tmp_path / "data"
     main(["synth", *synth_args, "--images", "3", "--noise", "0.1", "--out", str(data)])
     manifest = str(data / "manifest.json")
     for threads, out in (("1", "seq"), ("3", "par")):
         argv = ["merge", "--in", manifest, *merge_args, "--threads", threads]
         assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        report = str(tmp_path / out / "pq.json")
+        argv = ["eval", "--pred", str(tmp_path / out), "--gt", str(data / "gt")]
+        assert main(argv + ["--threads", threads, "--out", report]) == 0
     for name in ("0000", "0001", "0002"):
         for suffix in ("_ids.pst", "_sem.pst"):
             assert (tmp_path / "seq" / f"{name}{suffix}").read_bytes() == (
                 tmp_path / "par" / f"{name}{suffix}"
             ).read_bytes()
-    assert (tmp_path / "seq" / "panoptic.json").read_bytes() == (
-        tmp_path / "par" / "panoptic.json"
-    ).read_bytes()
+    for name in ("panoptic.json", "pq.json"):
+        assert (tmp_path / "seq" / name).read_bytes() == (
+            tmp_path / "par" / name
+        ).read_bytes()
 
 
 def test_merge_threads_match_sequential(tmp_path):

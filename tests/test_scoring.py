@@ -12,6 +12,7 @@ from panokit import (
     stack_scores,
 )
 from panokit.scoring import predicted_labels
+from panokit.synth import random_stack
 
 from conftest import make_stack
 
@@ -119,6 +120,32 @@ def test_predicted_labels_tie_takes_lowest_column():
     stack = MaskStack(masks, probs, (QueryProvenance(0, True),))
     cats, _ = predicted_labels(stack, DEFAULT_TAXONOMY)
     assert cats[0] == DEFAULT_TAXONOMY[0].id
+
+
+def _naive_labels(stack, taxonomy):
+    columns = {c.id: i for i, c in enumerate(taxonomy)}
+    cats, probs = [], []
+    for row, prov in zip(stack.class_probs, stack.provenance):
+        row = row.astype(np.float64)
+        if prov.is_thing:
+            col = int(np.argmax(row))
+            cats.append(taxonomy[col].id)
+        else:
+            col = columns[prov.fixed_category]
+            cats.append(prov.fixed_category)
+        probs.append(row[col])
+    return np.array(cats, np.int64), np.array(probs, np.float64)
+
+
+def test_predicted_labels_match_naive_reference():
+    # probabilities quantized to k/8 make argmax ties common; seeds 0, 5, …
+    # give zero-mask stacks
+    for seed in range(300):
+        stack = random_stack(seed, 1 + seed % 3, 1 + seed % 4, seed % 5)
+        got = predicted_labels(stack, DEFAULT_TAXONOMY)
+        for value, expected in zip(got, _naive_labels(stack, DEFAULT_TAXONOMY)):
+            assert value.dtype == expected.dtype
+            np.testing.assert_array_equal(value, expected)
 
 
 def test_stack_scores_combines_confidence():

@@ -205,6 +205,16 @@ def test_panoptic_map_reports_lowest_failing_id():
         PanopticMap(sem, ids, (Segment(2, 2), Segment(5, 1))).validate()
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_segment_refuses_a_non_finite_score(score):
+    # a writer would store it as a bare NaN/Infinity token its reader refuses
+    message = f"^segment 3 score must be finite, got {score}$"
+    with pytest.raises(ValidationError, match=message):
+        Segment(3, 1, 0, score)
+    assert Segment(3, 1, 0, None).score is None
+    assert Segment(3, 1, 0, 0.0).score == 0.0
+
+
 @pytest.mark.parametrize(
     "sem, ids", [((4, 4), (4, 5)), ((4, 4), (4, 4, 1)), ((16,), (16,))]
 )
