@@ -32,7 +32,6 @@ from .losses import (
     dynamic_lambda,
     focal_loss,
     lambda_counts,
-    masked_seg_weight,
 )
 from .merging import (
     MergeParams,

@@ -153,14 +153,3 @@ def lambda_counts(
         else:
             stuff_px += count
     return thing_px, stuff_px
-
-
-def masked_seg_weight(assignment) -> np.ndarray:
-    """Per-query segmentation-loss weights: 1 if matched, 0 if unmatched."""
-    indices = [q for q, _ in assignment.pairs] + list(assignment.unmatched_queries)
-    if not indices:
-        return np.zeros(0, np.float64)
-    weights = np.zeros(max(indices) + 1, np.float64)
-    for q, _ in assignment.pairs:
-        weights[q] = 1.0
-    return weights

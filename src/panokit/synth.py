@@ -65,8 +65,8 @@ class Rng:
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard gaussians via Box-Muller on two uniform blocks."""
         m = (n + 1) // 2
-        u1 = ((self.u64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.u64(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = self.uniforms(m) + 2.0**-53  # exact: (0, 1], so log is finite
+        u2 = self.uniforms(m)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
@@ -160,20 +160,21 @@ def _draw_shapes(
     cell_h: float,
     cell_w: float,
     grid: int,
+    hard: bool,
+    gains: list[float],
 ) -> list[_Shape]:
     """One placement attempt: amodal shape parameters, index 0 topmost.
 
     overlap_bias blends a scattered grid layout toward a shared-anchor
     layout in which each shape holds one corner on the anchor pixel while
-    extending into its own quadrant. At full bias the corner placement is
-    exact: every pair of shapes meets at the anchor (so all pairs overlap),
-    yet each shape hides only one-pixel edge strips of the shapes beneath
-    it, keeping everything mostly visible.
+    extending into its own quadrant. When `hard` (full bias) the corner
+    placement is exact: every pair of shapes meets at the anchor (so all
+    pairs overlap), yet each shape hides only one-pixel edge strips of the
+    shapes beneath it, keeping everything mostly visible.
     """
     n = params.n_things
     bias = params.overlap_bias
     height, width = params.height, params.width
-    hard = bias >= 0.999
     jitter = 0.1 * (1.0 - 0.7 * bias)  # high bias pins the anchor centrally
     anchor_y = round(usable * 0.5 + rng.uniform(-jitter, jitter) * usable)
     anchor_x = round(width * 0.5 + rng.uniform(-jitter, jitter) * width)
@@ -184,9 +185,8 @@ def _draw_shapes(
         # corner anchoring needs the full bounding-box corner, so exact
         # placement draws rectangles only
         ellipse = coin == 1 and not hard
-        gain = 1.0 + 0.9 * (t // 4) if hard else 1.0  # quadrant reuse: deeper bigger
-        ry = max(3, round(rng.uniform(ext_lo, ext_hi) * gain))
-        rx = max(3, round(rng.uniform(ext_lo, ext_hi) * gain))
+        ry = max(3, round(rng.uniform(ext_lo, ext_hi) * gains[t]))
+        rx = max(3, round(rng.uniform(ext_lo, ext_hi) * gains[t]))
         quad = (t + quad_phase) % 4
         sign_y = 1 if quad in (0, 1) else -1
         sign_x = 1 if quad in (0, 3) else -1
@@ -207,43 +207,40 @@ def _draw_shapes(
 
 def _all_pairs_overlap(shapes: list[_Shape], height: int, width: int) -> bool:
     """Exact pairwise-intersection check; exact placement uses rectangles
-    only, so clipped bounding boxes are the rasters."""
-    boxes = [s.bounds(height, width) for s in shapes]
-    for i in range(len(boxes)):
-        ai0, ai1, bi0, bi1 = boxes[i]
-        for j in range(i + 1, len(boxes)):
-            aj0, aj1, bj0, bj1 = boxes[j]
-            if min(ai1, aj1) <= max(ai0, aj0) or min(bi1, bj1) <= max(bi0, bj0):
-                return False
-    return True
+    only, so clipped bounding boxes are the rasters. Non-empty intervals
+    that meet pairwise share a point (Helly), so one test per axis does."""
+    y0s, y1s, x0s, x1s = zip(*(s.bounds(height, width) for s in shapes))
+    return max(y0s) < min(y1s) and max(x0s) < min(x1s)
 
 
-def _visibility_ok(
+def _visible_ids(
     shapes: list[_Shape],
     band_rows: list[tuple[int, int]],
     height: int,
     width: int,
     thing_floor: float,
     band_floor: float,
-) -> bool:
-    claimed = np.zeros((height, width), bool)
-    for s in shapes:
+) -> Optional[np.ndarray]:
+    """Paint thing t as id t + 1, topmost first, onto the pixels no
+    shallower thing holds, as mask_wise_merge paints a noise-free stack.
+    Return that raster, or None when a thing or band misses its floor."""
+    ids = np.zeros((height, width), np.int32)
+    for t, s in enumerate(shapes):
         y0, y1, x0, x1 = s.bounds(height, width)
         win = s.window(height, width)
         area = int(win.sum())
         if area < 9:
-            return False
-        taken = claimed[y0:y1, x0:x1]
-        visible = area - int((win & taken).sum())
-        if visible / area < thing_floor:
-            return False
-        claimed[y0:y1, x0:x1] = taken | win
+            return None
+        free = win & (ids[y0:y1, x0:x1] == VOID)
+        if int(free.sum()) / area < thing_floor:
+            return None
+        ids[y0:y1, x0:x1][free] = t + 1
     for y0, y1 in band_rows:
         band_area = (y1 - y0) * width
-        covered = int(claimed[y0:y1].sum())
+        covered = int(np.count_nonzero(ids[y0:y1]))
         if 1.0 - covered / band_area < band_floor:
-            return False
-    return True
+            return None
+    return ids
 
 
 def generate_scene(
@@ -286,19 +283,20 @@ def generate_scene(
     n = params.n_things
     cats = [thing_cats[rng.randint(0, len(thing_cats))] for _ in range(n)]
     shapes: list[_Shape] = []
+    # instance ids: thing t is t + 1, band j is n + 1 + j
+    ids = np.zeros((height, width), np.int32)
     if n > 0:
-        bias = params.overlap_bias
         grid = math.ceil(math.sqrt(n))
         cell_h = usable / grid
         cell_w = width / grid
-        thing_floor, band_floor = _floors(bias)
+        thing_floor, band_floor = _floors(params.overlap_bias)
+        hard = params.overlap_bias >= 0.999  # exact corner placement
+        # quadrant reuse under exact placement: deeper things are bigger
+        gains = [1.0 + 0.9 * (t // 4) if hard else 1.0 for t in range(n)]
         # total amodal area must respect the per-band uncovered floor, so
         # extents are capped by an even share of the coverable area; exact
         # corner placement additionally reserves headroom for its gains
-        if bias >= 0.999:
-            gain_sq = sum((1.0 + 0.9 * (t // 4)) ** 2 for t in range(n)) / n
-        else:
-            gain_sq = 1.0
+        gain_sq = sum(g**2 for g in gains) / n
         cap = 0.5 * (math.sqrt(0.30 * usable * width / (n * gain_sq)) - 1.0)
         for attempt in range(24):
             scale = 0.85 ** max(0, attempt - 5)  # shrink sizes, not positions
@@ -313,15 +311,15 @@ def generate_scene(
                     f"{params.height}x{params.width} scene"
                 )
             shapes = _draw_shapes(
-                rng, params, usable, ext_lo, ext_hi, cell_h, cell_w, grid
+                rng, params, usable, ext_lo, ext_hi, cell_h, cell_w, grid, hard, gains
             )
-            if not _visibility_ok(
+            painted = _visible_ids(
                 shapes, band_rows, height, width, thing_floor, band_floor
-            ):
-                continue
+            )
             # full bias promises the conflict-heavy layout: certify it
-            if bias >= 0.999 and not _all_pairs_overlap(shapes, height, width):
+            if painted is None or hard and not _all_pairs_overlap(shapes, height, width):
                 continue
+            ids = painted
             break
         else:
             raise ValidationError(
@@ -329,13 +327,6 @@ def generate_scene(
                 f"after 24 attempts"
             )
 
-    windows = [s.window(height, width) for s in shapes]
-    boxes = [s.bounds(height, width) for s in shapes]
-    # instance ids: thing t is t + 1, band j is n + 1 + j
-    ids = np.zeros((height, width), np.int32)
-    for t in range(n - 1, -1, -1):  # deepest first; shallower overwrite
-        y0, y1, x0, x1 = boxes[t]
-        ids[y0:y1, x0:x1][windows[t]] = t + 1
     for j, (y0, y1) in enumerate(band_rows):  # bands take their unclaimed rows
         rows = ids[y0:y1]
         rows[rows == VOID] = n + 1 + j
@@ -345,9 +336,9 @@ def generate_scene(
 
     n_masks = n + k
     masks = np.zeros((n_masks, height, width), np.float32)
-    for t in range(n):
-        y0, y1, x0, x1 = boxes[t]
-        masks[t, y0:y1, x0:x1][windows[t]] = 1.0
+    for t, s in enumerate(shapes):
+        y0, y1, x0, x1 = s.bounds(height, width)
+        masks[t, y0:y1, x0:x1][s.window(height, width)] = 1.0
     for j, (y0, y1) in enumerate(band_rows):
         masks[n + j, y0:y1, :] = 1.0
     if params.noise_sigma > 0:

@@ -63,6 +63,8 @@ class CategorySpec:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValidationError(f"category id must be >= 1, got {self.id}")
+        if self.id >= 1 << 16:  # stored sem rasters are uint16
+            raise ValidationError(f"category id must be < 2**16, got {self.id}")
 
 
 DEFAULT_TAXONOMY: tuple[CategorySpec, ...] = (
@@ -182,8 +184,9 @@ def validate_stack(
 ) -> MaskStack:
     """Check that a stack fits a taxonomy; return the stack unchanged.
 
-    Raises ValidationError unless class_probs has one column per category
-    and every stuff query's fixed_category is in the taxonomy.
+    Raises ValidationError unless class_probs has one column per category,
+    every stuff query's fixed_category is in the taxonomy, and a thing
+    query has a category to take.
     """
     columns = taxonomy_columns(taxonomy)
     if stack.class_probs.shape[1] != len(taxonomy):
@@ -192,6 +195,11 @@ def validate_stack(
             f"taxonomy has {len(taxonomy)} categories"
         )
     for prov in stack.provenance:
+        if prov.is_thing and not columns:
+            raise ValidationError(
+                f"thing query {prov.query_index} needs a category, "
+                "but the taxonomy lists none"
+            )
         if not prov.is_thing and prov.fixed_category not in columns:
             raise ValidationError(
                 f"stuff query {prov.query_index} names unknown category "

@@ -337,10 +337,10 @@ def test_malformed_set_is_data_error_naming_the_file(tmp_path, capsys, kind, cas
     _assert_data_error_naming(tmp_path, capsys, kind, *_MALFORMED_SETS[kind][case])
 
 
-def _assert_data_error_naming(tmp_path, capsys, kind, name, edit):
+def _assert_data_error_naming(tmp_path, capsys, kind, name, edit, named=None):
     """Corrupt one file of a fresh one-image set with edit, as in
     _MALFORMED_SETS, then check that reading the set is a data error whose
-    message starts with that file."""
+    message starts with that file, or with named(set root) when given."""
     data = tmp_path / "data"
     main(["synth", "--h", "32", "--w", "32", "--n", "1", "--out", str(data)])
     if kind == "stack":
@@ -358,7 +358,7 @@ def _assert_data_error_naming(tmp_path, capsys, kind, name, edit):
     capsys.readouterr()
     assert main(argv) == 2  # an exception escaping main would be a traceback
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {culprit}: ")
+    assert err.startswith(f"error: {culprit}: " if named is None else named(root))
     assert "Traceback" not in err
 
 
@@ -373,13 +373,18 @@ _FIELD_MUTATIONS = {
     "NaN": float("nan"),
     "list": [],
     "object": {},
+    "-1": -1,
+    "2**16": 2**16,
+    "2**31": 2**31,
+    "2**63": 2**63,
 }
+_INTEGERS = {"-1", "2**16", "2**31", "2**63"}
 
 # the mutations each field converter accepts, null aside
 _VALID_MUTATIONS = {
     manifest._int: set(),
     manifest._bool: {"true"},
-    manifest._float: {"fraction"},
+    manifest._float: {"fraction"} | _INTEGERS,
     manifest._str: {"string"},
     manifest._image_id: {"string"},
     manifest._file_name: {"string"},
@@ -405,12 +410,27 @@ _RECORDS = {
 }
 
 
+# integer fields that take every integer mutation: query indices are labels
+# with no range, and these cases pin that they are accepted
+_UNBOUNDED_INTEGERS = {("provenance", "query_index"), ("segment", "source_query")}
+
+# integer fields that are checked against the image's rasters, so their
+# refusal names the image's tensors, not the index
+_CHECKED_AGAINST_RASTERS = {("segment", "instance_id"), ("segment", "category_id")}
+
+
+def _image_0_rasters(root):
+    return f"error: {root / '0000_sem.pst'}, {root / '0000_ids.pst'}: image 0000: "
+
+
 def _field_mutations():
     for record, (fields, *_) in _RECORDS.items():
         for field in fields:
             valid = _VALID_MUTATIONS[field.convert]
             if field.nullable:
                 valid = valid | {"null"}
+            if (record, field.name) in _UNBOUNDED_INTEGERS:
+                valid = valid | _INTEGERS
             yield record, field.name, "missing"
             yield from (
                 (record, field.name, mutation)
@@ -431,7 +451,25 @@ def test_every_record_table_is_mutated():
 def test_malformed_record_field_is_data_error_naming_the_file(
     tmp_path, capsys, record, field, mutation
 ):
-    _, kind, name, keys = _RECORDS[record]
+    _assert_field_refused(tmp_path, capsys, record, _RECORDS[record][1], field, mutation)
+
+
+# a stack set's taxonomy is read through the same record, and its category
+# ids feed the merge's label tables, so it gets the same mutations
+@pytest.mark.parametrize(
+    "field, mutation", [(f, m) for r, f, m in _field_mutations() if r == "category"]
+)
+def test_malformed_category_field_of_a_stack_set_is_data_error_naming_the_file(
+    tmp_path, capsys, field, mutation
+):
+    _assert_field_refused(tmp_path, capsys, "category", "stack", field, mutation)
+
+
+def _assert_field_refused(tmp_path, capsys, record, kind, field, mutation):
+    """Apply one mutation to one field of the first record of its kind in a
+    fresh set of the given kind, and check that reading it is a data error."""
+    _, _, name, keys = _RECORDS[record]
+    checked = mutation in _INTEGERS and (record, field) in _CHECKED_AGAINST_RASTERS
 
     def edit(payload):
         inner = payload
@@ -443,7 +481,8 @@ def test_malformed_record_field_is_data_error_naming_the_file(
             inner[field] = _FIELD_MUTATIONS[mutation]
         return payload
 
-    _assert_data_error_naming(tmp_path, capsys, kind, name, edit)
+    named = _image_0_rasters if checked else None
+    _assert_data_error_naming(tmp_path, capsys, kind, name, edit, named)
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):
@@ -1177,3 +1216,50 @@ def test_eval_refuses_a_stored_instance_id_beyond_int32(tmp_path, capsys):
         f"error: {gt / '0000_sem.pst'}, {gt / '0000_ids.pst'}: image 0000: "
         "instance ids exceed int32 range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["merge"], ["merge", "--strategy", "argmax"], ["bench", "--reps", "1"]],
+    ids=["maskwise", "argmax", "bench"],
+)
+def test_thing_query_under_an_empty_taxonomy_is_data_error(tmp_path, capsys, argv):
+    data = tmp_path / "data"
+    main(["synth", "--h", "32", "--w", "32", "--n", "1", "--bands", "1", "--out", str(data)])
+    payload = json.loads((data / "manifest.json").read_text())
+    image = payload["images"][0]
+    assert image["provenance"][0]["is_thing"]
+    image["provenance"] = image["provenance"][:1]
+    (data / "manifest.json").write_text(json.dumps(payload))
+    write_pst(data / "0000_masks.pst", read_pst(data / "0000_masks.pst")[:1])
+    write_pst(data / "0000_probs.pst", np.zeros((1, 0), np.float32))
+    manifest.save_taxonomy(data / "taxonomy.json", ())
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--in", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / '0000_masks.pst'}, {data / '0000_probs.pst'}: image 0000: "
+        "thing query 0 needs a category, but the taxonomy lists none\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("big", [2**16, 2**31, 2**40, 2**63])
+def test_thing_category_id_beyond_uint16_names_the_taxonomy(tmp_path, capsys, big):
+    data = tmp_path / "data"
+    main(["synth", "--h", "32", "--w", "32", "--n", "2", "--out", str(data)])
+    payload = json.loads((data / "taxonomy.json").read_text())
+    for k, category in enumerate(payload["categories"]):
+        if category["is_thing"]:  # every thing query's label is then big or more
+            category["id"] = big + k
+    (data / "taxonomy.json").write_text(json.dumps(payload))
+    for strategy in ("maskwise", "argmax"):
+        capsys.readouterr()
+        out = tmp_path / strategy
+        argv = ["merge", "--in", str(data), "--strategy", strategy, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'taxonomy.json'}: malformed taxonomy "
+            f"(ValidationError: category id must be < 2**16, got {big})\n"
+        )
+        assert not out.exists()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panokit import (
-    Assignment,
     DEFAULT_TAXONOMY,
     LossWeights,
     ValidationError,
@@ -16,7 +15,6 @@ from panokit import (
     dynamic_lambda,
     focal_loss,
     lambda_counts,
-    masked_seg_weight,
 )
 
 from conftest import make_map
@@ -160,9 +158,3 @@ def test_lambda_counts_pixels_and_segments():
     pmap = make_map(sem, ids)
     assert lambda_counts(pmap, DEFAULT_TAXONOMY) == (12, 4)
     assert lambda_counts(pmap, DEFAULT_TAXONOMY, base="segments") == (1, 1)
-
-
-def test_masked_seg_weight_elementwise():
-    assignment = Assignment(((0, 0), (2, 1)), frozenset({1, 3}))
-    weights = masked_seg_weight(assignment)
-    assert list(weights) == [1.0, 0.0, 1.0, 0.0]

@@ -225,6 +225,19 @@ def test_set_writers_reject_duplicate_image_ids(tmp_path, kind):
     assert not out.exists()  # refused before any tensor was written
 
 
+def test_stack_writer_refuses_a_thing_query_under_an_empty_taxonomy(tmp_path):
+    _, stack = _scene(0)
+    assert stack.provenance[0].is_thing
+    thing = MaskStack(stack.masks[:1], np.zeros((1, 0), np.float32), stack.provenance[:1])
+    out = tmp_path / "set"
+    with pytest.raises(
+        ValidationError,
+        match="^image a: thing query 0 needs a category, but the taxonomy lists none$",
+    ):
+        write_stack_set(out, (), [("a", thing)])
+    assert not out.exists()  # refused before any tensor was written
+
+
 @pytest.mark.parametrize("kind", ["stack", "panoptic"])
 def test_set_readers_reject_duplicate_image_ids(tmp_path, kind):
     out = tmp_path / "set"

@@ -450,9 +450,17 @@ def test_every_strategy_rejects_bad_class_probability(bad):
             make_stack(masks, cats, [bad, 0.8])
 
 
+# case -> (the stuff query's category, class_probs columns, taxonomy, message)
 _UNFIT_STACKS = {
-    "unknown stuff category": (99, 8, "stuff query 1 names unknown category 99"),
-    "three columns": (6, 3, "class_probs have 3 columns, taxonomy has 8 categories"),
+    "unknown stuff category": (
+        99, 8, DEFAULT_TAXONOMY, "stuff query 1 names unknown category 99"
+    ),
+    "three columns": (
+        6, 3, DEFAULT_TAXONOMY, "class_probs have 3 columns, taxonomy has 8 categories"
+    ),
+    "empty taxonomy": (
+        6, 0, (), "thing query 0 needs a category, but the taxonomy lists none"
+    ),
 }
 
 _FIT_CHECKERS = {
@@ -469,12 +477,12 @@ _FIT_CHECKERS = {
 @pytest.mark.parametrize("run", _FIT_CHECKERS)
 @pytest.mark.parametrize("case", _UNFIT_STACKS)
 def test_every_strategy_checks_the_fit_to_the_taxonomy(case, run):
-    category, columns, message = _UNFIT_STACKS[case]
+    category, columns, taxonomy, message = _UNFIT_STACKS[case]
     provenance = (QueryProvenance(0, True), QueryProvenance(1, False, category))
     masks = np.full((2, 4, 4), 0.9, np.float32)
     stack = MaskStack(masks, np.full((2, columns), 0.1), provenance)
     with pytest.raises(ValidationError, match=message):
-        _FIT_CHECKERS[run](stack, DEFAULT_TAXONOMY)
+        _FIT_CHECKERS[run](stack, taxonomy)
 
 
 def test_merge_same_category_stuff_cases():

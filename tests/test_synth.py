@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,61 @@ def test_oracle_assignment_empty_cols():
 def test_oracle_assignment_size_guard():
     with pytest.raises(ValidationError):
         oracle_assignment(np.zeros((8, 8)))
+
+
+def _scene_parts(params):
+    try:
+        gt, stack = generate_scene(params)
+    except ValidationError as exc:
+        return [repr(params), str(exc)]
+    return [
+        repr(params),
+        gt.sem,
+        gt.ids,
+        stack.masks,
+        stack.class_probs,
+        repr(gt.segments),
+        repr(stack.provenance),
+    ]
+
+
+def _pinned_parts():
+    """Noise-free scenes over a grid of seeds, shapes, counts, bands and
+    biases (refusals by their message), one crowded 256x256 scene, the Rng
+    streams and random_stack cases. Noise is left out: numpy's float64
+    log/sin/cos may take CPU-specific paths."""
+    grid = itertools.product(
+        (0, 1, 7919, 2**64 - 1),
+        ((64, 64), (96, 128)),
+        (0, 1, 5, 12),
+        (1, 3),
+        (0.0, 0.5, 1.0),
+    )
+    for seed, (height, width), n, bands, bias in grid:
+        yield from _scene_parts(SceneParams(seed, height, width, n, bands, 0.0, bias))
+    yield from _scene_parts(SceneParams(7919, 256, 256, 30))
+    for seed in (0, 1, 7919, 2**64 - 1):
+        rng = Rng(seed)
+        yield rng.u64(33)
+        yield rng.uniforms(33)
+        yield repr([rng.uniform(-2.5, 7.0) for _ in range(9)])
+        yield repr([rng.randint(-5, 1000) for _ in range(9)])
+        yield repr(rng.permutation(17))
+    for case in range(20):
+        stack = random_stack(case, 8 + case % 3, 5 + case % 4, case % 7)
+        yield from (stack.masks, stack.class_probs, repr(stack.provenance))
+
+
+_SCENE_PIN = "b1e0a539aa50753d60b8821f0cabc0769c0175e30651d3a985d259e4deefbf20"
+
+
+def test_scene_bytes_are_pinned():
+    # any change to a scene, a draw or a refusal message changes this digest
+    digest = hashlib.sha256()
+    for part in _pinned_parts():
+        if isinstance(part, str):
+            digest.update(part.encode())
+        else:
+            digest.update(repr((part.dtype.str, part.shape)).encode())
+            digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == _SCENE_PIN

@@ -137,6 +137,14 @@ def test_category_id_must_be_positive():
         CategorySpec(0, "void", False)
 
 
+@pytest.mark.parametrize("big", [2**16, 2**31, 2**63])
+def test_category_id_must_fit_the_stored_uint16(big):
+    assert CategorySpec(2**16 - 1, "last", True).id == 2**16 - 1
+    message = rf"^category id must be < 2\*\*16, got {big}$"
+    with pytest.raises(ValidationError, match=message):
+        CategorySpec(big, "too big", True)
+
+
 def test_panoptic_map_void_coupling_enforced():
     message = "^sem and ids disagree on which pixels are void$"
 
