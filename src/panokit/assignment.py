@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .losses import (
     _DICE_EPS, _FOCAL_ALPHA, _FOCAL_GAMMA, _LOG_FLOOR, LossWeights, dice_loss, focal_loss
@@ -51,6 +50,8 @@ def hungarian(costs: np.ndarray) -> Assignment:
         raise ValidationError(
             f"need at least as many queries as targets, got {rows}x{cols}"
         )
+    from scipy.optimize import linear_sum_assignment  # loaded on first use
+
     row_idx, col_idx = linear_sum_assignment(c)
     pairs = tuple(sorted((int(q), int(t)) for q, t in zip(row_idx, col_idx)))
     matched = {q for q, _ in pairs}

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from . import pst
 from .types import MultiScaleAttn, ValidationError, _naming, token_counts
@@ -156,6 +155,8 @@ def predict_mask(fused: np.ndarray, head: FuseHead) -> np.ndarray:
         raise ValidationError(
             f"fused map has shape {f.shape}, head expects {head.weights.size} channels"
         )
+    from scipy.special import expit  # loaded on first use
+
     return expit(f @ head.weights + head.bias)
 
 
@@ -172,6 +173,8 @@ def attn_to_mask(attn: MultiScaleAttn, head: FuseHead) -> np.ndarray:
         raise ValidationError(
             f"head built for {head.heads} heads, attention carries {attn.heads}"
         )
+    from scipy.special import expit  # loaded on first use
+
     a3, a4, a5 = split_attn(attn)
     h = attn.heads
     w = head.weights

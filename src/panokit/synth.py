@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,54 +31,113 @@ from .types import (
     token_counts,
 )
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_ULP = 2.0**-53  # spacing of the 53-bit uniforms
+_CHUNK = 2**14  # Box-Muller pairs per chunk: its five buffers stay cache-sized
+
+
+def _unit(words):
+    """Word (Python int) or words (uint64 array) to float64 in [0, 1)."""
+    return (words >> 11) * _ULP
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The xorshift-multiply finalizer, in place on uint64 words z; tmp is a
+    work buffer of z's size."""
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
 class Rng:
     """Counter-mode PRNG: word j of stream `seed` is mix64(seed + j*GOLDEN).
 
-    Counter mode keeps draws vectorizable and position-addressable; the
-    mixer is the xorshift-multiply finalizer with constants documented in
-    the README. Not cryptographic.
+    Counter mode keeps draws vectorizable and position-addressable, so long
+    draws run in fixed chunks without changing the stream; the mixer is the
+    xorshift-multiply finalizer with constants documented in the README.
+    Not cryptographic.
     """
 
     def __init__(self, seed: int) -> None:
-        self._seed = np.uint64(seed & _U64_MASK)
+        self._seed = int(seed) & _U64_MASK
         self._drawn = 0
 
+    def _words(
+        self, first: int, steps: np.ndarray, out: np.ndarray, tmp: np.ndarray
+    ) -> np.ndarray:
+        """Words first, first + 1, ... mixed into out; steps[j] = j*GOLDEN."""
+        np.add(steps[: out.size], (self._seed + first * _GOLDEN) & _U64_MASK, out=out)
+        return _mix(out, tmp[: out.size])
+
+    def _word(self) -> int:
+        """The next word, mixed in Python integers: scalar draws skip numpy."""
+        self._drawn += 1
+        z = (self._seed + self._drawn * _GOLDEN) & _U64_MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
+        return z ^ (z >> 31)
+
     def u64(self, n: int) -> np.ndarray:
-        start = self._drawn + 1
-        counters = np.arange(start, start + n, dtype=np.uint64)
+        first = self._drawn + 1
         self._drawn += n
-        z = self._seed + counters * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        steps = np.arange(n, dtype=np.uint64) * _GOLDEN
+        return self._words(first, steps, np.empty_like(steps), np.empty_like(steps))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1) with 53-bit resolution."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit(self.u64(n))
+
+    def _gaussians(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The draw of normals(n) as (offset, values) chunks, each valid
+        until the next is taken.
+
+        Box-Muller on two blocks of m = ceil(n/2) words, u1 then u2: pair i
+        gives value i = r*cos(theta) and value m + i = r*sin(theta), the
+        last sine dropped when n is odd. Chunks of _CHUNK pairs reuse
+        buffers of min(_CHUNK, m) entries.
+        """
+        m = (n + 1) // 2
+        first = self._drawn + 1
+        self._drawn += 2 * m
+        size = min(_CHUNK, m)
+        steps = np.arange(size, dtype=np.uint64) * _GOLDEN
+        words, tmp = np.empty((2, size), np.uint64)
+        r_buf, theta_buf, out_buf = np.empty((3, size))
+        for a in range(0, m, _CHUNK):
+            k = min(_CHUNK, m - a)
+            r, theta, out = r_buf[:k], theta_buf[:k], out_buf[:k]
+            u1 = _unit(self._words(first + a, steps, words[:k], tmp))
+            np.add(u1, _ULP, out=r)  # exact: (0, 1], so log is finite
+            np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+            u2 = _unit(self._words(first + m + a, steps, words[:k], tmp))
+            np.multiply(u2, 2.0 * math.pi, out=theta)
+            yield a, np.multiply(r, np.cos(theta, out=out), out=out)
+            yield m + a, np.multiply(r, np.sin(theta, out=out), out=out)[: n - m - a]
 
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard gaussians via Box-Muller on two uniform blocks."""
-        m = (n + 1) // 2
-        u1 = self.uniforms(m) + 2.0**-53  # exact: (0, 1], so log is finite
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        values = np.empty(n)
+        for a, chunk in self._gaussians(n):
+            values[a : a + chunk.size] = chunk
+        return values
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return float(lo + (hi - lo) * self.uniforms(1)[0])
+        return float(lo + (hi - lo) * _unit(self._word()))
 
     def randint(self, lo: int, hi: int) -> int:
         """One integer in [lo, hi); modulo-reduced, slight bias is acceptable."""
         if hi <= lo:
             raise ValidationError(f"empty integer range [{lo}, {hi})")
-        return lo + int(self.u64(1)[0]) % (hi - lo)
+        return lo + self._word() % (hi - lo)
 
     def permutation(self, n: int) -> list[int]:
         out = list(range(n))
@@ -342,10 +401,10 @@ def generate_scene(
     for j, (y0, y1) in enumerate(band_rows):
         masks[n + j, y0:y1, :] = 1.0
     if params.noise_sigma > 0:
-        noise = rng.normals(n_masks * height * width).reshape(n_masks, height, width)
-        masks = np.clip(
-            masks + params.noise_sigma * noise.astype(np.float32), 0.0, 1.0
-        )
+        flat = masks.reshape(-1)
+        for a, chunk in rng._gaussians(flat.size):
+            flat[a : a + chunk.size] += params.noise_sigma * chunk.astype(np.float32)
+        np.clip(masks, 0.0, 1.0, out=masks)
 
     n_classes = len(taxonomy)
     probs = (

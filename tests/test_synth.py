@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from panokit import (
     random_stack,
     validate_stack,
 )
+from panokit.synth import _CHUNK
 from panokit.types import stuff_ids, thing_ids
 
 
@@ -60,6 +62,37 @@ def test_rng_normals_shape_and_moments():
     assert z.shape == (50_001,)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+def test_rng_scalar_word_equals_the_vector_mix():
+    for seed in (0, 1, 7919, 2**64 - 1):
+        scalar, vector = Rng(seed), Rng(seed)
+        for _ in range(1000):
+            assert scalar._word() == int(vector.u64(1)[0])
+        assert scalar._drawn == vector._drawn == 1000
+
+
+def _whole_array_normals(rng, n):
+    """Box-Muller on whole blocks, the layout normals must keep in chunks."""
+    m = (n + 1) // 2
+    u1 = rng.uniforms(m) + 2.0**-53
+    u2 = rng.uniforms(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 3]
+)
+def test_rng_normals_equal_one_block_draw_at_chunk_edges(n):
+    for seed in (0, 7919):
+        chunked, whole = Rng(seed), Rng(seed)
+        got = chunked.normals(n)
+        want = _whole_array_normals(whole, n)
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(chunked.u64(3), whole.u64(3))
 
 
 def test_rng_randint_and_permutation():
