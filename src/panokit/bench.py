@@ -1,35 +1,23 @@
 """Benchmark harness comparing merging strategies over an image set.
 
-Only the merge call itself is timed; stack generation or file loading
-happens outside the timed region so strategies can be compared on equal
-footing. Each image is produced once per repetition and every strategy runs
-on it before the next image is drawn, so a generating source is traversed
-as few times as possible. Rows are emitted in (strategy order given,
-repetition) order, which makes reports deterministic apart from the timings
-themselves.
+It times the merge calls it is given, a mapping from each strategy's name
+to its call; the CLI builds that mapping from its strategy table. Only the
+merge call itself is timed; stack generation or file loading happens
+outside the timed region so strategies can be compared on equal footing.
+Each image is produced once per repetition and every merge runs on it
+before the next image is drawn, so a generating source is traversed as few
+times as possible. Rows are emitted in (mapping order, repetition) order,
+which makes reports deterministic apart from the timings themselves.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .merging import heuristic_merge, mask_wise_merge, pixel_wise_argmax
-from .types import CategorySpec, MaskStack, ValidationError
+from .types import CategorySpec, MaskStack, PanopticMap, ValidationError
 
 BENCH_SCHEMA = "bench-report/1"
-
-# each strategy's library call, at its default parameters
-_MERGES = {
-    "maskwise": mask_wise_merge,
-    "argmax": pixel_wise_argmax,
-    "argmax-weighted": partial(pixel_wise_argmax, weighted=True),
-    "heuristic": heuristic_merge,
-}
-
-STRATEGIES = tuple(_MERGES)
-
 
 def _ms_per_image(seconds: float, images: int) -> float:
     return 1000.0 * seconds / images if images else 0.0
@@ -38,48 +26,43 @@ def _ms_per_image(seconds: float, images: int) -> float:
 def bench(
     source: Callable[[], Iterable[tuple[str, MaskStack]]],
     taxonomy: Sequence[CategorySpec],
-    strategies: Sequence[str],
+    merges: Mapping[str, Callable[[MaskStack, Sequence[CategorySpec]], PanopticMap]],
     repetitions: int = 1,
 ) -> dict:
-    """Time each strategy, at the default MergeParams, over every image the
-    source yields.
+    """Time each named merge call over every image the source yields.
 
     source is a zero-argument callable returning a fresh iterable per pass,
-    so stacks never have to be held in memory all at once.
+    so stacks never have to be held in memory all at once. A report that
+    times both "maskwise" and "argmax" also compares the two.
     """
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-    if not strategies:
-        raise ValidationError("no strategies given")
-    for strategy in strategies:
-        if strategy not in _MERGES:
-            raise ValidationError(f"unknown strategy {strategy!r}")
-    merges = [_MERGES[s] for s in strategies]
-    totals = [[0.0] * repetitions for _ in strategies]
+    if not merges:
+        raise ValidationError("no merges given")
+    totals = [[0.0] * repetitions for _ in merges]
     counts = [0] * repetitions
     for rep in range(repetitions):
         for _, stack in source():
-            for si, merge in enumerate(merges):
+            for times, merge in zip(totals, merges.values()):
                 start = perf_counter()
                 merge(stack, taxonomy)
-                totals[si][rep] += perf_counter() - start
+                times[rep] += perf_counter() - start
             counts[rep] += 1
     rows = [
         {
-            "strategy": strategy,
+            "strategy": name,
             "repetition": rep,
             "images": counts[rep],
             "seconds": seconds,
             "ms_per_image": _ms_per_image(seconds, counts[rep]),
         }
-        for strategy, seconds_by_rep in zip(strategies, totals)
+        for name, seconds_by_rep in zip(merges, totals)
         for rep, seconds in enumerate(seconds_by_rep)
     ]
     summary = {}
-    for strategy in dict.fromkeys(strategies):  # a repeated name: all its rows
-        seconds = [t for s, row in zip(strategies, totals) if s == strategy for t in row]
+    for name, seconds in zip(merges, totals):
         mean = sum(seconds) / len(seconds)
-        summary[strategy] = {
+        summary[name] = {
             "seconds_mean": mean,
             "ms_per_image": _ms_per_image(mean, counts[0]),
         }

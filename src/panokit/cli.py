@@ -28,7 +28,7 @@ from .assignment import (
     mass_center,
 )
 from .attnfuse import FuseHead, attn_to_mask
-from .bench import STRATEGIES, bench, format_bench_table
+from .bench import bench, format_bench_table
 from .manifest import (
     _dump_json,
     read_panoptic_set,
@@ -89,13 +89,41 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# Each strategy's library call at a given MergeParams. The library names are
+# looked up in this module when a call runs, so a rebinding of them here (a
+# tracer's span, a test's spy) sees every call that merge and bench make.
+_MERGES = {
+    "maskwise": lambda stack, tax, params: mask_wise_merge(stack, tax, params),
+    "argmax": lambda stack, tax, params: pixel_wise_argmax(
+        stack, tax, False, params.min_area, params.merge_same_stuff
+    ),
+    "argmax-weighted": lambda stack, tax, params: pixel_wise_argmax(
+        stack, tax, True, params.min_area, params.merge_same_stuff
+    ),
+    "heuristic": lambda stack, tax, params: heuristic_merge(stack, tax, params),
+}
+
+
+def _merge_call(strategy: str, merge_stuff: str = "auto", **fields):
+    """strategy's call, as (stack, taxonomy) -> PanopticMap, at the MergeParams
+    of fields, with merge_same_stuff set by merge_stuff (on, off or auto)."""
+    # auto merges for the argmax strategies, the detector-style baselines
+    argmax = strategy in ("argmax", "argmax-weighted")
+    same_stuff = {"on": True, "off": False, "auto": argmax}[merge_stuff]
+    params = MergeParams(merge_same_stuff=same_stuff, **fields)
+    merge = _MERGES[strategy]
+    return lambda stack, taxonomy: merge(stack, taxonomy, params)
+
+
 def _strategy_list(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
-    for name in names:
-        if name not in STRATEGIES:
+    for i, name in enumerate(names):
+        if name not in _MERGES:
             raise argparse.ArgumentTypeError(
-                f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}"
+                f"unknown strategy {name!r}; choose from {', '.join(_MERGES)}"
             )
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"strategy {name!r} is listed twice")
     if not names:
         raise argparse.ArgumentTypeError("empty strategy list")
     return names
@@ -127,9 +155,7 @@ def build_parser() -> _Parser:
     p_merge = sub.add_parser("merge", help="turn mask stacks into panoptic maps")
     p_merge.add_argument("--in", dest="input", required=True, help="stack manifest")
     p_merge.add_argument("--out", required=True, help="output panoptic directory")
-    p_merge.add_argument(
-        "--strategy", choices=STRATEGIES, default="maskwise"
-    )
+    p_merge.add_argument("--strategy", choices=_MERGES, default="maskwise")
     p_merge.add_argument("--alpha", type=float, default=ScoreParams.alpha)
     p_merge.add_argument("--beta", type=float, default=ScoreParams.beta)
     p_merge.add_argument("--t-cnf", type=float, default=MergeParams.t_cnf)
@@ -240,30 +266,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _merge_runner(args):
-    strategy = args.strategy
-    argmax = strategy in ("argmax", "argmax-weighted")
-    params = MergeParams(
+def _cmd_merge(args) -> int:
+    taxonomy, entries = read_stack_manifest(args.input)
+    run = _merge_call(
+        args.strategy,
+        args.merge_stuff,
         t_cnf=args.t_cnf,
         t_keep=args.t_keep,
         score=ScoreParams(alpha=args.alpha, beta=args.beta),
-        # auto merges for the argmax strategies, the detector-style baselines
-        merge_same_stuff={"on": True, "off": False, "auto": argmax}[args.merge_stuff],
         min_area=args.min_area,
     )
-    if strategy == "maskwise":
-        return lambda stack, tax: mask_wise_merge(stack, tax, params)
-    if strategy == "heuristic":
-        return lambda stack, tax: heuristic_merge(stack, tax, params)
-    weighted = strategy == "argmax-weighted"
-    return lambda stack, tax: pixel_wise_argmax(
-        stack, tax, weighted, params.min_area, params.merge_same_stuff
-    )
-
-
-def _cmd_merge(args) -> int:
-    taxonomy, entries = read_stack_manifest(args.input)
-    run = _merge_runner(args)
     results = _map_images(
         args.threads,
         lambda entry: (entry.image_id, run(entry.load(taxonomy), taxonomy)),
@@ -340,29 +352,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _thing_queries(stack: MaskStack) -> list[tuple[int, MatchQuery]]:
-    queries = []
-    for i, prov in enumerate(stack.provenance):
-        if not prov.is_thing:
-            continue
-        mask = stack.masks[i]
-        if mask.any():  # masks are >= 0, so this is a positive mass
-            center = mass_center(mask)
-        else:
-            # an all-zero mask has no mass center; image center keeps costs finite
-            center = np.array([(mask.shape[0] - 1) / 2, (mask.shape[1] - 1) / 2])
-        queries.append(
-            (
-                prov.query_index,
-                MatchQuery(
-                    class_probs=stack.class_probs[i],
-                    mask=mask,
-                    box=bbox_of(mask),
-                    center=center,
-                ),
-            )
-        )
-    return queries
+def _geometry(mask: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(whether mask has any mass, its box, its mass center) for a query or a
+    target; masks are >= 0, so any nonzero value is a positive mass."""
+    filled = bool(mask.any())
+    if filled:
+        center = mass_center(mask)
+    else:
+        # an all-zero mask has no mass center; image center keeps costs finite
+        center = np.array([(mask.shape[0] - 1) / 2, (mask.shape[1] - 1) / 2])
+    return filled, bbox_of(mask), center
 
 
 def _cmd_assign(args) -> int:
@@ -378,37 +377,32 @@ def _cmd_assign(args) -> int:
     for entry in entries:
         stack = entry.load(taxonomy)
         gt = gt_by_id[entry.image_id]
-        queries = _thing_queries(stack)
-        targets = []
-        target_ids = []
+        row_to_query, queries = [], []
+        for prov, probs, mask in zip(stack.provenance, stack.class_probs, stack.masks):
+            if prov.is_thing:
+                _, box, center = _geometry(mask)
+                queries.append(MatchQuery(probs, mask, box, center))
+                row_to_query.append(prov.query_index)
+        target_ids, targets = [], []
         for seg in gt.segments:
             if seg.category_id in stuff:
                 continue
             mask = gt.ids == seg.instance_id
-            if not mask.any():
+            filled, box, center = _geometry(mask)
+            if not filled:
                 raise ValidationError(
                     f"{args.gt}: image {entry.image_id} thing instance id "
                     f"{seg.instance_id} has no pixels"
                 )
-            targets.append(
-                MatchTarget(
-                    category_index=columns[seg.category_id],
-                    mask=mask,
-                    box=bbox_of(mask),
-                    center=mass_center(mask),
-                )
-            )
+            targets.append(MatchTarget(columns[seg.category_id], mask, box, center))
             target_ids.append(seg.instance_id)
         stuff_queries = [p for p in stack.provenance if not p.is_thing]
         present = frozenset(
             seg.category_id for seg in gt.segments if seg.category_id in stuff
         )
         with _naming(f"{args.pred}, {args.gt}: image {entry.image_id}"):
-            costs = build_cost_matrix(
-                [q for _, q in queries], targets, weights, mode, args.normalize
-            )
+            costs = build_cost_matrix(queries, targets, weights, mode, args.normalize)
             result = decoupled_assign(costs, stuff_queries, present)
-        row_to_query = [q for q, _ in queries]
         images_out.append(
             {
                 "id": entry.image_id,
@@ -496,7 +490,8 @@ def _cmd_bench(args) -> int:
             scenes = _scenes(args, n_things=n_things, stuff_bands=bands)
             return ((image_id, stack) for image_id, _, stack in scenes)
 
-    report = bench(source, taxonomy, args.strategies, args.reps)
+    merges = {name: _merge_call(name) for name in args.strategies}
+    report = bench(source, taxonomy, merges, args.reps)
     print(format_bench_table(report))
     if args.out:
         _dump_json(args.out, report)

@@ -331,7 +331,7 @@ def _write_set(
 
 def _read_set(
     path: PathLike, layout: _Layout
-) -> tuple[tuple[CategorySpec, ...], list[tuple[str, list[Path], tuple]]]:
+) -> tuple[tuple[CategorySpec, ...], list[tuple[str, tuple[Path, ...], tuple]]]:
     """Read a set directory (or its index) as its taxonomy and a list of
     (image id, tensor paths in layout order, records). Only fields are
     converted and file paths resolved here: callers load tensors after this
@@ -355,7 +355,7 @@ def _read_set(
         images = []
         for image in _list(data["images"]):
             image_id, *names, records = (f.read(image) for f in layout.image_fields)
-            images.append((image_id, [inside(name) for name in names], records))
+            images.append((image_id, tuple(map(inside, names)), records))
     except _MALFORMED as exc:
         raise FormatError(
             f"{index}: malformed index ({type(exc).__name__}: {exc})"
@@ -368,16 +368,15 @@ def _read_set(
 
 @dataclass(frozen=True)
 class StackEntry:
-    """One image row of a stack manifest; tensor paths are manifest-relative."""
+    """One image row of a stack manifest; its tensor paths are
+    manifest-relative, in _STACK_SET.tensors order (masks, class_probs)."""
 
     image_id: str
-    masks_path: Path
-    probs_path: Path
+    paths: tuple[Path, ...]
     provenance: tuple[QueryProvenance, ...]
 
     def load(self, taxonomy: Sequence[CategorySpec]) -> MaskStack:
-        paths = (self.masks_path, self.probs_path)
-        return _STACK_SET.load(self.image_id, paths, self.provenance, taxonomy)
+        return _STACK_SET.load(self.image_id, self.paths, self.provenance, taxonomy)
 
 
 def write_stack_set(
@@ -396,10 +395,7 @@ def read_stack_manifest(
     """Read a stack directory (or its manifest.json directly); tensors load
     lazily via StackEntry.load."""
     taxonomy, images = _read_set(manifest_path, _STACK_SET)
-    return taxonomy, [
-        StackEntry(image_id, *paths, provenance)
-        for image_id, paths, provenance in images
-    ]
+    return taxonomy, [StackEntry(*image) for image in images]
 
 
 def write_panoptic_set(

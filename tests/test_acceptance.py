@@ -288,7 +288,8 @@ def test_criterion_10_bench_budget_and_timing_report():
             yield f"{i:04d}", generate_scene(params)[1]
 
     start = time.perf_counter()
-    report = bench(source, DEFAULT_TAXONOMY, ("maskwise", "argmax"))
+    merges = {"maskwise": mask_wise_merge, "argmax": pixel_wise_argmax}
+    report = bench(source, DEFAULT_TAXONOMY, merges)
     wall = time.perf_counter() - start
     assert wall < 120.0, f"bench wall time {wall:.1f}s exceeds the 120s budget"
     comparison = report["maskwise_vs_argmax"]

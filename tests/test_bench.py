@@ -1,7 +1,21 @@
 import pytest
 
-from panokit import DEFAULT_TAXONOMY, ValidationError, bench, format_bench_table
+from panokit import (
+    DEFAULT_TAXONOMY,
+    ValidationError,
+    bench,
+    format_bench_table,
+    heuristic_merge,
+    mask_wise_merge,
+    pixel_wise_argmax,
+)
 from panokit.synth import random_stack
+
+MASKWISE, ARGMAX, HEURISTIC = (
+    {"maskwise": mask_wise_merge},
+    {"argmax": pixel_wise_argmax},
+    {"heuristic": heuristic_merge},
+)
 
 
 def _source():
@@ -9,7 +23,7 @@ def _source():
 
 
 def test_two_strategies_three_reps_give_six_rows():
-    report = bench(_source, DEFAULT_TAXONOMY, ("maskwise", "argmax"), repetitions=3)
+    report = bench(_source, DEFAULT_TAXONOMY, {**MASKWISE, **ARGMAX}, repetitions=3)
     rows = report["rows"]
     assert len(rows) == 6
     assert [r["strategy"] for r in rows] == ["maskwise"] * 3 + ["argmax"] * 3
@@ -17,7 +31,7 @@ def test_two_strategies_three_reps_give_six_rows():
 
 
 def test_timings_positive_and_consistent():
-    report = bench(_source, DEFAULT_TAXONOMY, ("maskwise",), repetitions=2)
+    report = bench(_source, DEFAULT_TAXONOMY, MASKWISE, repetitions=2)
     for row in report["rows"]:
         assert row["seconds"] > 0.0
         assert row["images"] == 3
@@ -27,7 +41,7 @@ def test_timings_positive_and_consistent():
 
 
 def test_summary_and_comparison_blocks():
-    report = bench(_source, DEFAULT_TAXONOMY, ("maskwise", "argmax"))
+    report = bench(_source, DEFAULT_TAXONOMY, {**MASKWISE, **ARGMAX})
     assert set(report["summary"]) == {"maskwise", "argmax"}
     comparison = report["maskwise_vs_argmax"]
     assert comparison["ratio"] > 0.0
@@ -37,27 +51,36 @@ def test_summary_and_comparison_blocks():
 
 
 def test_comparison_absent_without_argmax():
-    report = bench(_source, DEFAULT_TAXONOMY, ("maskwise", "heuristic"))
+    report = bench(_source, DEFAULT_TAXONOMY, {**MASKWISE, **HEURISTIC})
     assert "maskwise_vs_argmax" not in report
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValidationError):
-        bench(_source, DEFAULT_TAXONOMY, ("quantum",))
-
-
-def test_repeated_strategy_is_summarized_over_all_of_its_rows():
-    strategies = ("maskwise", "argmax", "maskwise")
-    report = bench(_source, DEFAULT_TAXONOMY, strategies, repetitions=2)
+def test_summary_is_the_mean_of_each_merges_rows():
+    report = bench(_source, DEFAULT_TAXONOMY, {**ARGMAX, **MASKWISE}, repetitions=2)
     rows = report["rows"]
-    assert [(r["strategy"], r["repetition"]) for r in rows] == [
-        (s, rep) for s in strategies for rep in (0, 1)
-    ]
-    assert list(report["summary"]) == ["maskwise", "argmax"]
+    assert list(report["summary"]) == ["argmax", "maskwise"]
     for name, summary in report["summary"].items():
         seconds = [r["seconds"] for r in rows if r["strategy"] == name]
-        assert len(seconds) == 2 * strategies.count(name)
-        assert summary["seconds_mean"] == sum(seconds) / len(seconds)
+        assert len(seconds) == 2
+        assert summary["seconds_mean"] == sum(seconds) / 2
         assert summary["ms_per_image"] == pytest.approx(
             summary["seconds_mean"] / 3 * 1000.0
         )
+
+
+def test_bench_times_the_calls_it_is_given():
+    calls = []
+
+    def counted(stack, taxonomy):
+        calls.append(stack.n)
+        return mask_wise_merge(stack, taxonomy)
+
+    report = bench(_source, DEFAULT_TAXONOMY, {"mine": counted}, repetitions=2)
+    assert calls == [4] * 6
+    assert [r["strategy"] for r in report["rows"]] == ["mine", "mine"]
+
+
+@pytest.mark.parametrize("merges, reps", [({}, 1), (MASKWISE, 0)])
+def test_no_merges_or_no_repetitions_rejected(merges, reps):
+    with pytest.raises(ValidationError):
+        bench(_source, DEFAULT_TAXONOMY, merges, repetitions=reps)

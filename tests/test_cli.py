@@ -15,7 +15,12 @@ from panokit.manifest import (
     write_panoptic_set,
     write_stack_set,
 )
-from panokit.merging import MergeParams
+from panokit.merging import (
+    MergeParams,
+    heuristic_merge,
+    mask_wise_merge,
+    pixel_wise_argmax,
+)
 from panokit.metrics import PqReport, QueryStats, pq, query_stats
 from panokit.pst import read_pst, write_pst
 from panokit.scoring import ScoreParams
@@ -27,6 +32,7 @@ from panokit import (
     MatchQuery,
     MatchTarget,
     PanopticMap,
+    QueryProvenance,
     SceneParams,
     Segment,
     ValidationError,
@@ -555,7 +561,9 @@ def test_assign_writes_expected_layout(tmp_path):
     assert len(image["stuff_pairs"]) == 2
 
 
-def test_assign_matches_scalar_rebuilt_optimum(tmp_path):
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("location_mode", ["box", "center"])
+def test_assign_matches_scalar_rebuilt_optimum(tmp_path, location_mode, normalize):
     data = tmp_path / "data"
     main(
         [
@@ -568,6 +576,8 @@ def test_assign_matches_scalar_rebuilt_optimum(tmp_path):
         [
             "assign", "--pred", str(data / "manifest.json"),
             "--gt", str(data / "gt"), "--out", str(out),
+            "--location-mode", location_mode,
+            "--normalize" if normalize else "--no-normalize",
         ]
     )
     assert code == 0
@@ -592,8 +602,12 @@ def test_assign_matches_scalar_rebuilt_optimum(tmp_path):
             mask = gt.ids == seg.instance_id
             center = mass_center(mask.astype(np.float64))
             targets.append(MatchTarget(columns[seg.category_id], mask, bbox_of(mask), center))
+        mode = "box" if location_mode == "box" else "mass_center"
         costs = np.array(
-            [[matching_cost(q, t, LossWeights()) for t in targets] for q in queries]
+            [
+                [matching_cost(q, t, LossWeights(), mode, normalize) for t in targets]
+                for q in queries
+            ]
         )
         r, c = linear_sum_assignment(costs)
         want = sorted(
@@ -809,6 +823,110 @@ def test_bench_cli_runs_small(tmp_path, capsys):
     assert "maskwise takes" in capsys.readouterr().out
 
 
+_STRATEGIES = ("maskwise", "argmax", "argmax-weighted", "heuristic")
+
+
+def _two_sky_halves_set(root):
+    """A one-image 16x16 stack set: a thing square over two stuff queries of
+    one category (sky) that split the frame, so merging same-category stuff
+    changes the map."""
+    masks = np.zeros((3, 16, 16), np.float32)
+    masks[0, 4:9, 4:9] = 0.9
+    masks[1, :, :8] = 0.8
+    masks[2, :, 8:] = 0.7
+    columns = {c.id: pos for pos, c in enumerate(DEFAULT_TAXONOMY)}
+    probs = np.zeros((3, len(DEFAULT_TAXONOMY)), np.float32)
+    probs[0, columns[1]] = probs[1, columns[6]] = probs[2, columns[6]] = 0.9
+    provenance = (
+        QueryProvenance(0, True),
+        QueryProvenance(1, False, 6),
+        QueryProvenance(2, False, 6),
+    )
+    stack = MaskStack(masks, probs, provenance)
+    write_stack_set(root, DEFAULT_TAXONOMY, [("0000", stack)])
+    return stack
+
+
+def _library_merge(strategy, stack, merge_same_stuff):
+    if strategy in ("argmax", "argmax-weighted"):
+        weighted = strategy == "argmax-weighted"
+        return pixel_wise_argmax(stack, DEFAULT_TAXONOMY, weighted, 0, merge_same_stuff)
+    merge = mask_wise_merge if strategy == "maskwise" else heuristic_merge
+    return merge(stack, DEFAULT_TAXONOMY, MergeParams(merge_same_stuff=merge_same_stuff))
+
+
+def _set_bytes(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("merge_stuff", ["auto", "on", "off"])
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+def test_merge_stuff_flag_gives_the_library_map(tmp_path, strategy, merge_stuff):
+    stack = _two_sky_halves_set(tmp_path / "set")
+    argmax = strategy in ("argmax", "argmax-weighted")
+    merged = {"on": True, "off": False, "auto": argmax}[merge_stuff]
+    argv = ["merge", "--in", str(tmp_path / "set"), "--out", str(tmp_path / "cli")]
+    assert main([*argv, "--strategy", strategy, "--merge-stuff", merge_stuff]) == 0
+    want = _library_merge(strategy, stack, merged)
+    other = _library_merge(strategy, stack, not merged)
+    assert len(want.segments) != len(other.segments)
+    write_panoptic_set(tmp_path / "lib", DEFAULT_TAXONOMY, [("0000", want)])
+    assert _set_bytes(tmp_path / "cli") == _set_bytes(tmp_path / "lib")
+
+
+def test_bench_makes_the_calls_merge_makes_at_default_flags(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "5", "--noise", "0.1", "--out", str(data)]) == 0
+    seen = []
+
+    _spy(monkeypatch, seen, "pixel_wise_argmax", lambda stack, tax, *options: options)
+    _spy(monkeypatch, seen, "mask_wise_merge", lambda stack, tax, params: params)
+    _spy(monkeypatch, seen, "heuristic_merge", lambda stack, tax, params: params)
+    manifest = str(data / "manifest.json")
+    argv = ["bench", "--in", manifest, "--strategies", ",".join(_STRATEGIES)]
+    assert main([*argv, "--reps", "1"]) == 0
+    benched, seen[:] = list(seen), []
+    for strategy in _STRATEGIES:
+        argv = ["merge", "--in", manifest, "--out", str(tmp_path / strategy)]
+        assert main([*argv, "--strategy", strategy]) == 0
+    assert benched == seen == [
+        ("mask_wise_merge", MergeParams()),
+        ("pixel_wise_argmax", (False, 0, True)),
+        ("pixel_wise_argmax", (True, 0, True)),
+        ("heuristic_merge", MergeParams()),
+    ]
+
+
+_BENCH = ["bench", "--images", "1", "--h", "32", "--w", "32", "--masks", "5"]
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("maskwise,quantum", "unknown strategy 'quantum'"),
+        ("", "empty strategy list"),
+        (" , ", "empty strategy list"),
+        ("argmax,maskwise,argmax", "strategy 'argmax' is listed twice"),
+    ],
+)
+def test_bench_refuses_a_bad_strategy_list(capsys, names, message):
+    assert main([*_BENCH, "--strategies", names]) == 1
+    err = capsys.readouterr().err
+    assert "--strategies" in err and message in err
+
+
+def test_bench_rows_follow_the_given_strategy_order(tmp_path):
+    names = ["heuristic", "argmax-weighted", "maskwise", "argmax"]
+    out = tmp_path / "bench.json"
+    argv = [*_BENCH, "--strategies", ",".join(names), "--reps", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(r["strategy"], r["repetition"]) for r in report["rows"]] == [
+        (name, rep) for name in names for rep in (0, 1)
+    ]
+    assert list(report["summary"]) == names
+
+
 def test_default_flag_values_match_reference_operating_point():
     parser = build_parser()
     merge = parser.parse_args(["merge", "--in", "x", "--out", "y"])
@@ -820,6 +938,18 @@ def test_default_flag_values_match_reference_operating_point():
     assign = parser.parse_args(["assign", "--pred", "p", "--gt", "g", "--out", "o"])
     assert assign.lambdas == (2.0, 1.0, 1.0)
     assert assign.location_mode == "box"
+
+
+def _spy(monkeypatch, seen, name, pick):
+    """Rebind cli's name to a wrapper that appends (name, pick(*args)) to seen
+    before it calls the library function."""
+    library = getattr(cli, name)
+
+    def wrapped(*args):
+        seen.append((name, pick(*args)))
+        return library(*args)
+
+    monkeypatch.setattr(cli, name, wrapped)
 
 
 def test_successive_main_calls_see_only_their_own_options(tmp_path, monkeypatch):
@@ -834,18 +964,9 @@ def test_successive_main_calls_see_only_their_own_options(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "build_parser", counted_build)
     cli._parser.cache_clear()
 
-    def spy(name, pick):
-        library = getattr(cli, name)
-
-        def wrapped(*args):
-            seen.append((name, pick(*args)))
-            return library(*args)
-
-        monkeypatch.setattr(cli, name, wrapped)
-
-    spy("pixel_wise_argmax", lambda stack, tax, *options: options)
-    spy("mask_wise_merge", lambda stack, tax, params: params)
-    spy("pq", lambda pred, gt, tax, void_forgive: void_forgive)
+    _spy(monkeypatch, seen, "pixel_wise_argmax", lambda stack, tax, *options: options)
+    _spy(monkeypatch, seen, "mask_wise_merge", lambda stack, tax, params: params)
+    _spy(monkeypatch, seen, "pq", lambda pred, gt, tax, void_forgive: void_forgive)
     merge = ["merge", "--in", str(data / "manifest.json"), "--out"]
     evaluate = ["eval", "--pred", str(tmp_path / "b"), "--gt", str(data / "gt")]
     evaluate += ["--out", str(tmp_path / "r.json")]
