@@ -386,29 +386,26 @@ class DecoupledAssignment:
 
 def decoupled_assign(
     thing_costs: np.ndarray,
-    stuff_queries: Sequence[QueryProvenance],
+    provenance: Sequence[QueryProvenance],
     gt_stuff_present: frozenset[int] | set[int],
 ) -> DecoupledAssignment:
-    """Thing queries matched via hungarian over thing_costs; stuff query i is
-    paired with its fixed category when present in the ground truth, else
-    left unmatched. Duplicate stuff categories are rejected."""
+    """Thing queries, the rows of thing_costs in stack order, matched via
+    hungarian; each stuff query of provenance is paired with its fixed
+    category when present in the ground truth, else left unmatched. A stuff
+    category bound to two queries is refused before the matching runs."""
     seen: set[int] = set()
-    for prov in stuff_queries:
+    stuff_pairs, unmatched = [], []
+    for prov in provenance:
         if prov.is_thing:
-            raise ValidationError(
-                f"query {prov.query_index} is a thing query on the stuff side"
-            )
+            continue
         if prov.fixed_category in seen:
             raise ValidationError(
                 f"stuff category {prov.fixed_category} bound to more than one query"
             )
         seen.add(prov.fixed_category)
-    things = hungarian(thing_costs)
-    stuff_pairs = []
-    unmatched = []
-    for prov in stuff_queries:
         if prov.fixed_category in gt_stuff_present:
             stuff_pairs.append((prov.query_index, prov.fixed_category))
         else:
             unmatched.append(prov.query_index)
+    things = hungarian(thing_costs)
     return DecoupledAssignment(things, tuple(stuff_pairs), frozenset(unmatched))

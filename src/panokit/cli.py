@@ -383,9 +383,10 @@ def _cmd_assign(args) -> int:
                 _, box, center = _geometry(mask)
                 queries.append(MatchQuery(probs, mask, box, center))
                 row_to_query.append(prov.query_index)
-        target_ids, targets = [], []
+        target_ids, targets, present = [], [], set()
         for seg in gt.segments:
             if seg.category_id in stuff:
+                present.add(seg.category_id)
                 continue
             mask = gt.ids == seg.instance_id
             filled, box, center = _geometry(mask)
@@ -396,13 +397,9 @@ def _cmd_assign(args) -> int:
                 )
             targets.append(MatchTarget(columns[seg.category_id], mask, box, center))
             target_ids.append(seg.instance_id)
-        stuff_queries = [p for p in stack.provenance if not p.is_thing]
-        present = frozenset(
-            seg.category_id for seg in gt.segments if seg.category_id in stuff
-        )
         with _naming(f"{args.pred}, {args.gt}: image {entry.image_id}"):
             costs = build_cost_matrix(queries, targets, weights, mode, args.normalize)
-            result = decoupled_assign(costs, stuff_queries, present)
+            result = decoupled_assign(costs, stack.provenance, present)
         images_out.append(
             {
                 "id": entry.image_id,

@@ -30,6 +30,7 @@ from .types import (
     QueryProvenance,
     Segment,
     ValidationError,
+    _check_categories,
     _naming,
     taxonomy_columns,
     validate_stack,
@@ -188,17 +189,6 @@ _MASKS = _Tensor("masks", "masks", np.dtype(np.float32))
 _CLASS_PROBS = _Tensor("class_probs", "probs", np.dtype(np.float32))
 _SEM = _Tensor("sem", "sem", np.dtype(np.uint16))
 _IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
-
-
-def _check_categories(pmap: PanopticMap, taxonomy: Sequence[CategorySpec]) -> None:
-    """Raise a ValidationError unless every segment's category is in the taxonomy."""
-    known = taxonomy_columns(taxonomy)
-    for seg in pmap.segments:
-        if seg.category_id not in known:
-            raise ValidationError(
-                f"segment {seg.instance_id} has category "
-                f"{seg.category_id}, which the taxonomy does not list"
-            )
 
 
 @dataclass(frozen=True)

@@ -254,20 +254,17 @@ def merge_same_category_stuff(
     record; thing segments are untouched.
     """
     stuff = stuff_ids(taxonomy)
-    groups: dict[int, list[Segment]] = {}
-    for seg in pmap.segments:
+    canon: dict[int, int] = {}  # stuff category -> its lowest instance id
+    doomed: dict[int, int] = {}  # filled in ascending id order
+    for seg in sorted(pmap.segments, key=lambda s: s.instance_id):
         if seg.category_id in stuff:
-            groups.setdefault(seg.category_id, []).append(seg)
-    doomed: dict[int, int] = {}
-    for segs in groups.values():
-        segs.sort(key=lambda s: s.instance_id)
-        canon = segs[0].instance_id
-        for other in segs[1:]:
-            doomed[other.instance_id] = canon
+            keep = canon.setdefault(seg.category_id, seg.instance_id)
+            if keep != seg.instance_id:
+                doomed[seg.instance_id] = keep
     if not doomed:
         return pmap
-    old = np.array(sorted(doomed), np.int32)
-    new = np.array([doomed[i] for i in old.tolist()], np.int32)
+    old = np.fromiter(doomed, np.int32, len(doomed))
+    new = np.fromiter(doomed.values(), np.int32, len(doomed))
     # Look up the doomed ids only, so memory follows the frame, not the ids.
     pos = np.minimum(np.searchsorted(old, pmap.ids), old.size - 1)
     ids = np.where(old[pos] == pmap.ids, new[pos], pmap.ids)

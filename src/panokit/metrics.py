@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Sequence
 
-from .types import CategorySpec, PanopticMap, ValidationError, _pair_counts, thing_ids
+from .types import (
+    CategorySpec, PanopticMap, ValidationError, _check_categories, _pair_counts, thing_ids
+)
+
+_IdMap = dict[int, int]  # instance id -> its category, area or pixel count
+
 
 class _Counts:
     """A dataclass of counters: merging adds them field by field into a new
@@ -118,29 +123,27 @@ class PqReport:
 
 
 def _matches(
-    pred: PanopticMap, gt: PanopticMap
-) -> tuple[
-    dict[int, int],
-    dict[int, int],
-    dict[int, tuple[int, float]],
-    dict[int, int],
-]:
-    """(gt areas, pred areas, matches, pred-on-gt-void counts), all read off
-    one joint (gt id, pred id) histogram from types._pair_counts; areas are
-    keyed in ascending id order. matches maps each matched pred id to
-    (gt id, IoU) under the one rule: same category and void-excluded
-    IoU > 0.5."""
+    pred: PanopticMap, gt: PanopticMap, taxonomy: Sequence[CategorySpec]
+) -> tuple[_IdMap, _IdMap, _IdMap, _IdMap, dict[int, tuple[int, float]], _IdMap]:
+    """(gt categories, pred categories, gt areas, pred areas, matches,
+    pred-on-gt-void counts) of two maps whose categories taxonomy lists;
+    all but the categories are read off one joint (gt id, pred id)
+    histogram from types._pair_counts, areas keyed in ascending id order.
+    matches maps each matched pred id to (gt id, IoU) under the one rule:
+    same category and void-excluded IoU > 0.5."""
     if pred.sem.shape != gt.sem.shape:
         raise ValidationError(
             f"size mismatch: pred {pred.sem.shape} vs gt {gt.sem.shape}"
         )
+    for pmap in (pred, gt):
+        _check_categories(pmap, taxonomy)
     gt_cat = {s.instance_id: s.category_id for s in gt.segments}
     pred_cat = {s.instance_id: s.category_id for s in pred.segments}
     gids, pids, counts = _pair_counts(gt.ids, pred.ids)
     pairs = list(zip(gids.tolist(), pids.tolist(), counts.tolist()))
-    gt_area: dict[int, int] = {}
-    pred_area: dict[int, int] = {}
-    void_overlap: dict[int, int] = {}
+    gt_area: _IdMap = {}
+    pred_area: _IdMap = {}
+    void_overlap: _IdMap = {}
     for gid, pid, count in pairs:
         if gid:
             gt_area[gid] = gt_area.get(gid, 0) + count
@@ -163,7 +166,7 @@ def _matches(
         iou = count / union
         if iou > 0.5:
             matches[pid] = (gid, iou)
-    return gt_area, pred_area, matches, void_overlap
+    return gt_cat, pred_cat, gt_area, pred_area, matches, void_overlap
 
 
 def pq(
@@ -177,10 +180,11 @@ def pq(
     A category enters the averages when it has any tp, fp, or fn. With
     void_forgive (the default), an unmatched prediction with more than half
     of its area on ground-truth void is not counted as a false positive.
+    A segment whose category the taxonomy does not list is refused.
     """
-    gt_cat = {s.instance_id: s.category_id for s in gt.segments}
-    pred_cat = {s.instance_id: s.category_id for s in pred.segments}
-    gt_area, pred_area, matches, void_overlap = _matches(pred, gt)
+    gt_cat, pred_cat, gt_area, pred_area, matches, void_overlap = _matches(
+        pred, gt, taxonomy
+    )
     report = PqReport()
     for gid, iou in matches.values():
         counts = report.per_category.setdefault(gt_cat[gid], CategoryCounts())
@@ -241,8 +245,8 @@ def query_stats(
 
     A predicted segment is a true positive when a same-category ground-truth
     segment overlaps it with IoU > 0.5, which is pq's match: same category,
-    void-excluded IoU, unique by construction. Every predicted segment must
-    carry source_query.
+    void-excluded IoU, unique by construction. Every segment's category
+    must be in taxonomy, and every predicted one must carry source_query.
     """
     things = thing_ids(taxonomy)
     for seg in pred.segments:
@@ -250,7 +254,7 @@ def query_stats(
             raise ValidationError(
                 f"segment {seg.instance_id} is missing its source_query"
             )
-    _, _, matches, _ = _matches(pred, gt)
+    *_, matches, _ = _matches(pred, gt, taxonomy)
     stats = QueryStats()
     for seg in pred.segments:
         counts = stats.per_query.setdefault(seg.source_query, QueryCounts())

@@ -12,6 +12,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -208,6 +209,17 @@ def validate_stack(
     return stack
 
 
+def _check_categories(pmap: PanopticMap, taxonomy: Sequence[CategorySpec]) -> None:
+    """Raise a ValidationError unless every segment's category is in the taxonomy."""
+    known = taxonomy_columns(taxonomy)
+    for seg in pmap.segments:
+        if seg.category_id not in known:
+            raise ValidationError(
+                f"segment {seg.instance_id} has category "
+                f"{seg.category_id}, which the taxonomy does not list"
+            )
+
+
 def binarize(mask: np.ndarray) -> np.ndarray:
     """The one binarization rule: a pixel is true iff its value exceeds 0.5.
     Compared in the mask's own dtype, exact since 0.5 is representable.
@@ -294,18 +306,17 @@ class PanopticMap:
             if seg.instance_id in by_id:
                 raise ValidationError(f"instance id {seg.instance_id} listed twice")
             by_id[seg.instance_id] = seg.category_id
-        present, first = np.unique(pair_ids, return_index=True)
-        ends = [*first[1:].tolist(), pair_ids.size]
-        for inst, lo, hi in zip(present.tolist(), first.tolist(), ends):
+        pairs = zip(pair_ids.tolist(), pair_cats.tolist())
+        for inst, group in groupby(pairs, key=lambda pair: pair[0]):
             if inst == VOID:
                 continue
             cat = by_id.get(inst)
             if cat is None:
                 raise ValidationError(f"instance id {inst} has no segment record")
-            cats = np.sort(pair_cats[lo:hi])  # pairs order categories unsigned
-            if cats.size != 1 or int(cats[0]) != cat:
+            cats = sorted(c for _, c in group)  # pairs order categories unsigned
+            if cats != [cat]:
                 raise ValidationError(
-                    f"instance id {inst} spans categories {cats.tolist()}, "
+                    f"instance id {inst} spans categories {cats}, "
                     f"segment record says {cat}"
                 )
         return self

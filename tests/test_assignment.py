@@ -455,9 +455,28 @@ def test_decoupled_no_ground_truth():
     assert out.unmatched_stuff == frozenset({5})
 
 
-def test_decoupled_rejects_thing_on_stuff_side():
-    with pytest.raises(ValidationError):
-        decoupled_assign(np.zeros((1, 0)), (QueryProvenance(1, True),), frozenset())
+def test_decoupled_takes_the_stack_provenance():
+    # thing queries 0 and 2 are the cost rows, in stack order; they are
+    # skipped on the stuff side, and stuff queries bind by fixed category
+    provenance = (
+        QueryProvenance(0, True),
+        QueryProvenance(1, False, 7),
+        QueryProvenance(2, True),
+        QueryProvenance(3, False, 6),
+    )
+    out = decoupled_assign(np.array([[0.5], [0.25]]), provenance, frozenset({7}))
+    assert out.things.pairs == ((1, 0),)
+    assert out.things.unmatched_queries == frozenset({0})
+    assert out.stuff_pairs == ((1, 7),)
+    assert out.unmatched_stuff == frozenset({3})
+    repeated = provenance + (QueryProvenance(4, False, 7),)
+    with pytest.raises(ValidationError, match="^stuff category 7 bound to more than one query$"):
+        decoupled_assign(np.zeros((2, 1)), repeated, frozenset({7}))
+    # a 1x2 matrix is a solver fault too; the stuff fault is reported first
+    with pytest.raises(ValidationError, match="need at least as many queries"):
+        decoupled_assign(np.zeros((1, 2)), provenance, frozenset())
+    with pytest.raises(ValidationError, match="^stuff category 7 bound"):
+        decoupled_assign(np.zeros((1, 2)), repeated, frozenset())
 
 
 def test_build_cost_matrix_checks_one_entry_against_scalar(monkeypatch):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panokit import (
     DEFAULT_TAXONOMY,
@@ -561,6 +563,43 @@ def test_merge_same_category_stuff_same_for_ids_wider_than_the_frame():
         )
         merged += len(want.segments) < len(narrow.segments)
     assert merged > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_merge_same_category_stuff_matches_a_per_pixel_reference(seed):
+    # 2-4 segments per stuff category plus a few things, ids wider than the
+    # 6x6 frame, records listed out of id order
+    rng = np.random.default_rng(seed)
+    stuff = [c.id for c in DEFAULT_TAXONOMY if not c.is_thing]
+    cats = [cat for cat in stuff for _ in range(rng.integers(2, 5))]
+    cats += rng.choice([1, 2, 3], size=rng.integers(0, 3)).tolist()
+    inst = rng.choice(np.arange(1, 10**9, 1_000_003), size=len(cats), replace=False)
+    segments = [Segment(int(i), int(c)) for i, c in zip(inst, cats)]
+    rng.shuffle(segments)
+    if segments == sorted(segments, key=lambda s: s.instance_id):
+        segments.reverse()
+    pick = rng.integers(-1, len(segments), size=(6, 6))  # -1 is void
+    ids = np.where(pick < 0, 0, np.array([s.instance_id for s in segments])[pick])
+    sem = np.where(pick < 0, 0, np.array([s.category_id for s in segments])[pick])
+    pmap = PanopticMap(sem, ids, segments).validate()
+    lowest = {
+        cat: min(s.instance_id for s in segments if s.category_id == cat)
+        for cat in stuff
+    }
+    ref = ids.copy()
+    for y in range(6):
+        for x in range(6):
+            if sem[y, x] in lowest:
+                ref[y, x] = lowest[sem[y, x]]
+    out = merge_same_category_stuff(pmap, DEFAULT_TAXONOMY)
+    out.validate()
+    np.testing.assert_array_equal(out.ids, ref)
+    np.testing.assert_array_equal(out.sem, sem)
+    kept = set(lowest.values())
+    assert out.segments == tuple(
+        s for s in segments if s.category_id not in lowest or s.instance_id in kept
+    )
 
 
 def test_all_strategies_output_valid_maps():

@@ -219,6 +219,22 @@ def test_query_stats_missing_segment_record_rejected():
         query_stats(bare, gt, DEFAULT_TAXONOMY)
 
 
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_pq_and_query_stats_refuse_a_category_the_taxonomy_does_not_list(side):
+    # DEFAULT_TAXONOMY lists no category 9: it is neither a thing nor stuff
+    sem = np.zeros((4, 4), np.int32)
+    ids = np.zeros((4, 4), np.int32)
+    sem[0], ids[0] = 9, 1
+    unlisted = PanopticMap(sem, ids, (Segment(1, 9, source_query=0),)).validate()
+    listed = make_map(np.where(sem, 7, 0), ids, sources={1: 0})
+    pred, gt = (unlisted, listed) if side == "pred" else (listed, unlisted)
+    message = "^segment 1 has category 9, which the taxonomy does not list$"
+    with pytest.raises(ValidationError, match=message):
+        pq(pred, gt, DEFAULT_TAXONOMY)
+    with pytest.raises(ValidationError, match=message):
+        query_stats(pred, gt, DEFAULT_TAXONOMY)
+
+
 def test_missing_records_name_the_lowest_id():
     # the pair histogram lists pred 55 (on gt 1) before pred 47 (on gt 2)
     sem = np.zeros((4, 4), np.int32)

@@ -200,6 +200,17 @@ def test_panoptic_map_one_category_per_id():
         PanopticMap(sem, ids, (Segment(1, 1),)).validate()
 
 
+def test_panoptic_map_lists_spanned_categories_in_signed_order():
+    # _pair_counts orders categories as unsigned, so -1 comes after 2 there
+    sem = np.zeros((4, 4), np.int32)
+    ids = np.zeros((4, 4), np.int32)
+    sem[0], ids[0] = 2, 1
+    sem[1], ids[1] = -1, 1
+    message = r"^instance id 1 spans categories \[-1, 2\], segment record says 2$"
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(sem, ids, (Segment(1, 2),)).validate()
+
+
 def test_panoptic_map_reports_lowest_failing_id():
     # id 5 spans two categories and id 2 has no record: the lower id is named
     sem = np.zeros((4, 4), np.int32)
