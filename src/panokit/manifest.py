@@ -4,10 +4,10 @@ Tensors live in PST1 files; everything human-facing is JSON with a versioned
 "schema" field. Both set kinds share one layout, a JSON index with one record
 per image plus tensor files and taxonomy.json beside it: a stack manifest
 lists mask and class-probability tensors plus inline provenance, a panoptic
-directory category and instance-id tensors plus segment records.
+directory an instance-id tensor plus segment records.
 
 Each JSON record's fields, each tensor's stored dtype and each set kind's
-taxonomy fit are spelled once, in the tables below; readers and writers walk them.
+fit check are spelled once, in the tables below; readers and writers walk them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .types import (
 
 TAXONOMY_SCHEMA = "taxonomy/1"
 STACK_SCHEMA = "stack-manifest/1"
-PANOPTIC_SCHEMA = "panoptic-dir/1"
+PANOPTIC_SCHEMA = "panoptic-dir/2"
 
 PathLike = Union[str, Path]
 
@@ -51,7 +51,7 @@ def _load_json(path: Path, schema: str) -> dict:
         data = json.loads(path.read_bytes())
     except FileNotFoundError as exc:
         raise FormatError(f"{path}: file does not exist") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
@@ -187,7 +187,6 @@ class _Tensor(NamedTuple):
 
 _MASKS = _Tensor("masks", "masks", np.dtype(np.float32))
 _CLASS_PROBS = _Tensor("class_probs", "probs", np.dtype(np.float32))
-_SEM = _Tensor("sem", "sem", np.dtype(np.uint16))
 _IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
 
 
@@ -195,7 +194,7 @@ _IDS = _Tensor("ids", "ids", np.dtype(np.uint32))
 class _Layout:
     """One set kind: its index file and schema, each image's tensors and the key
     (also the item attribute) and table of its records, how they build the
-    image's item, and the taxonomy fit that readers and writers both run."""
+    image's item, and the fit check that readers and writers both run."""
 
     index_name: str
     schema: str
@@ -230,9 +229,9 @@ _STACK_SET = _Layout(
     build=MaskStack, fit=lambda stack, taxonomy: validate_stack(stack, taxonomy),
 )
 _PANOPTIC_SET = _Layout(
-    "panoptic.json", PANOPTIC_SCHEMA, (_SEM, _IDS), "segments", _SEGMENT,
-    build=lambda sem, ids, segments: PanopticMap(sem, ids, segments).validate(),
-    fit=_check_categories,
+    "panoptic.json", PANOPTIC_SCHEMA, (_IDS,), "segments", _SEGMENT,
+    build=lambda ids, segments: PanopticMap(None, ids, segments),
+    fit=lambda pmap, taxonomy: _check_categories(pmap.validate(), taxonomy),
 )
 
 
@@ -393,14 +392,8 @@ def write_panoptic_set(
     taxonomy: Sequence[CategorySpec],
     items: Sequence[tuple[str, PanopticMap]],
 ) -> Path:
-    """Write per-image sem/ids tensors plus panoptic.json last; returns the
-    index path. An interrupted rewrite leaves no index."""
-    for image_id, pmap in items:
-        # the stored unsigned ids would wrap; int32 instance ids are below 2**31
-        if pmap.sem.min(initial=0) < 0 or pmap.sem.max(initial=0) >= 1 << 16:
-            raise ValidationError(f"image {image_id}: category ids must lie in [0, 2**16)")
-        if pmap.ids.min(initial=0) < 0:
-            raise ValidationError(f"image {image_id}: instance ids must lie in [0, 2**31)")
+    """Validate every map, then write per-image ids tensors plus panoptic.json
+    last; returns the index path. An interrupted rewrite leaves no index."""
     return _write_set(out_dir, taxonomy, items, _PANOPTIC_SET)
 
 

@@ -7,7 +7,6 @@ _Canvas, an int32 ids raster (0 = void) with its segment records, by two
 phases: paint (score order, t_cnf, t_keep) and fill (per-pixel first-max
 labelling, min_area). mask_wise_merge paints, pixel_wise_argmax fills, and
 heuristic_merge paints things, then fills the unpainted pixels with stuff.
-The canvas's finish derives sem from ids and the records once, at the end.
 """
 
 from __future__ import annotations
@@ -170,10 +169,9 @@ class _Canvas:
     def finish(
         self, taxonomy: Sequence[CategorySpec], merge_stuff: bool
     ) -> PanopticMap:
-        """Derive sem from ids and the segment records, then merge
-        same-category stuff when asked."""
-        cat_of = np.array([VOID, *(s.category_id for s in self.segments)], np.int32)
-        out = PanopticMap(cat_of[self.ids], self.ids, tuple(self.segments))
+        """The map of ids and the segment records, with same-category stuff
+        merged when asked."""
+        out = PanopticMap(None, self.ids, tuple(self.segments))
         if merge_stuff:
             out = merge_same_category_stuff(out, taxonomy)
         return out
@@ -269,4 +267,4 @@ def merge_same_category_stuff(
     pos = np.minimum(np.searchsorted(old, pmap.ids), old.size - 1)
     ids = np.where(old[pos] == pmap.ids, new[pos], pmap.ids)
     segments = tuple(s for s in pmap.segments if s.instance_id not in doomed)
-    return PanopticMap(pmap.sem, ids, segments)
+    return PanopticMap(None, ids, segments)

@@ -131,9 +131,9 @@ def _matches(
     histogram from types._pair_counts, areas keyed in ascending id order.
     matches maps each matched pred id to (gt id, IoU) under the one rule:
     same category and void-excluded IoU > 0.5."""
-    if pred.sem.shape != gt.sem.shape:
+    if pred.ids.shape != gt.ids.shape:
         raise ValidationError(
-            f"size mismatch: pred {pred.sem.shape} vs gt {gt.sem.shape}"
+            f"size mismatch: pred {pred.ids.shape} vs gt {gt.ids.shape}"
         )
     for pmap in (pred, gt):
         _check_categories(pmap, taxonomy)

@@ -389,9 +389,8 @@ def generate_scene(
     for j, (y0, y1) in enumerate(band_rows):  # bands take their unclaimed rows
         rows = ids[y0:y1]
         rows[rows == VOID] = n + 1 + j
-    seg_cats = [*cats, *band_cats]
-    segments = tuple(Segment(i + 1, cat) for i, cat in enumerate(seg_cats))
-    gt = PanopticMap(np.array([VOID, *seg_cats], np.int32)[ids], ids, segments)
+    segments = tuple(Segment(i + 1, c) for i, c in enumerate((*cats, *band_cats)))
+    gt = PanopticMap(None, ids, segments)
 
     n_masks = n + k
     masks = np.zeros((n_masks, height, width), np.float32)

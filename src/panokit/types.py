@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,7 +63,9 @@ class CategorySpec:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValidationError(f"category id must be >= 1, got {self.id}")
-        if self.id >= 1 << 16:  # stored sem rasters are uint16
+        # the derived int32 sem needs category ids below 2**31; this tighter
+        # bound keeps every taxonomy that loads today loading the same
+        if self.id >= 1 << 16:
             raise ValidationError(f"category id must be < 2**16, got {self.id}")
 
 
@@ -261,65 +262,67 @@ class Segment:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PanopticMap:
-    """Per-pixel category labels plus per-pixel instance ids.
+    """Per-pixel instance ids plus one segment record per instance.
 
-    sem  (H, W) int32 category ids, 0 = void
-    ids  (H, W) int32 instance ids, 0 = void, 1-based otherwise
+    ids       (H, W) int32 instance ids, 0 = void, 1-based otherwise
+    segments  the records, each giving its instance's category
 
-    Either raster may be given in any dtype whose values int32 holds
-    exactly; a value outside int32 or with a fraction is refused, not cast.
+    ids may be given in any dtype whose values int32 holds exactly; a value
+    outside int32 or with a fraction is refused, not cast. sem is derived,
+    not stored: sem=None derives it on first use, and a given sem must equal
+    that derivation.
     """
 
-    sem: np.ndarray
     ids: np.ndarray
-    segments: tuple[Segment, ...] = field(default_factory=tuple)
+    segments: tuple[Segment, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sem", _freeze(_int32_raster(self.sem, "category")))
-        object.__setattr__(self, "ids", _freeze(_int32_raster(self.ids, "instance")))
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if self.sem.ndim != 2 or self.sem.shape != self.ids.shape:
-            raise ValidationError(
-                f"sem {self.sem.shape} and ids {self.ids.shape} must be equal 2-d shapes"
-            )
+    def __init__(self, sem, ids, segments: Sequence[Segment] = ()) -> None:
+        object.__setattr__(self, "ids", _freeze(_int32_raster(ids, "instance")))
+        object.__setattr__(self, "segments", tuple(segments))
+        if self.ids.ndim != 2:
+            raise ValidationError(f"ids must be 2-d, got shape {self.ids.shape}")
+        given = None if sem is None else _int32_raster(sem, "category")
+        # a given sem of another shape or other values is one disagreement
+        if given is not None and not np.array_equal(given, self.sem):
+            raise ValidationError("sem disagrees with ids and the segment records")
 
     @property
     def height(self) -> int:
-        return self.sem.shape[0]
+        return self.ids.shape[0]
 
     @property
     def width(self) -> int:
-        return self.sem.shape[1]
+        return self.ids.shape[1]
 
     def validate(self) -> "PanopticMap":
-        """Check void coupling, ids covered by segments, and one category per
-        id; the first and last checks read the (id, category) _pair_counts."""
-        pair_ids, pair_cats, _ = _pair_counts(self.ids, self.sem)
-        if ((pair_ids == VOID) != (pair_cats == VOID)).any():
-            raise ValidationError("sem and ids disagree on which pixels are void")
-        by_id: dict[int, int] = {}
+        """Check the one rule: the records are 1-based and listed once, and
+        every nonzero id has a record, the lowest id without one named. The
+        distinct ids come from one sort of ids."""
+        listed: set[int] = set()
         for seg in self.segments:
             if seg.instance_id < 1:
                 raise ValidationError(f"instance id {seg.instance_id} is not 1-based")
-            if seg.instance_id in by_id:
+            if seg.instance_id in listed:
                 raise ValidationError(f"instance id {seg.instance_id} listed twice")
-            by_id[seg.instance_id] = seg.category_id
-        pairs = zip(pair_ids.tolist(), pair_cats.tolist())
-        for inst, group in groupby(pairs, key=lambda pair: pair[0]):
-            if inst == VOID:
-                continue
-            cat = by_id.get(inst)
-            if cat is None:
+            listed.add(seg.instance_id)
+        flat = np.sort(self.ids, axis=None)
+        for inst in flat[_run_starts(flat)].tolist():
+            if inst != VOID and inst not in listed:
                 raise ValidationError(f"instance id {inst} has no segment record")
-            cats = sorted(c for _, c in group)  # pairs order categories unsigned
-            if cats != [cat]:
-                raise ValidationError(
-                    f"instance id {inst} spans categories {cats}, "
-                    f"segment record says {cat}"
-                )
         return self
+
+    @cached_property
+    def sem(self) -> np.ndarray:
+        """(H, W) int32 category ids, 0 = void, looked up by searchsorted in
+        the records sorted by id, so memory follows the frame, not the ids.
+        The map must validate, and a category outside int32 is refused."""
+        cat_of = {s.instance_id: s.category_id for s in self.validate().segments}
+        keys = sorted(i for i in cat_of if i < 2**31)  # a larger id labels no pixel
+        cats = _int32_raster(np.array([VOID, *map(cat_of.get, keys)]), "category")
+        pos = np.searchsorted(np.array([VOID, *keys], np.int32), self.ids)
+        return _freeze(cats[pos])
 
 
 def _int32_raster(values, what: str) -> np.ndarray:
@@ -347,10 +350,7 @@ def _pair_counts(
     hash path is ~2x slower on these keys."""
     keys = ((a.astype(np.int64) << 32) | b.view(np.uint32)).ravel()
     keys.sort()
-    starts = np.empty(keys.size, bool)
-    starts[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    starts = _run_starts(keys)
     counts = np.diff(starts, append=keys.size)
     keys = keys[starts]
     return (
@@ -358,6 +358,14 @@ def _pair_counts(
         (keys & 0xFFFFFFFF).astype(np.uint32).view(np.int32),
         counts,
     )
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of each run's first element in a sorted 1-d array."""
+    starts = np.empty(keys.size, bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def token_counts(height: int, width: int) -> tuple[int, int, int]:

@@ -326,7 +326,7 @@ _MALFORMED_SETS = {
         ),
         "NUL in tensor name": (
             "index",
-            lambda p: _with(p, ["images", 0, "sem"], "0000_sem.pst\0"),
+            lambda p: _with(p, ["images", 0, "ids"], "0000_ids.pst\0"),
         ),
         "absolute tensor path": (
             "index",
@@ -366,6 +366,58 @@ def _assert_data_error_naming(tmp_path, capsys, kind, name, edit, named=None):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {culprit}: " if named is None else named(root))
     assert "Traceback" not in err
+
+
+# JSON nested deeper than Python's recursion limit, which json.loads
+# reports as a RecursionError rather than a ValueError
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_DEEP_TAXONOMY = b'{"schema": "taxonomy/1", "categories": ' + _DEEP + b"}"
+
+# JSON file kind -> (set kind, file name, its bytes)
+_TOO_DEEP_JSON = {
+    "stack manifest": ("stack", "manifest.json", _DEEP),
+    "panoptic index": ("panoptic", "panoptic.json", _DEEP),
+    "taxonomy": ("panoptic", "taxonomy.json", _DEEP_TAXONOMY),
+    "stack taxonomy": ("stack", "taxonomy.json", _DEEP_TAXONOMY),
+}
+
+
+@pytest.mark.parametrize("case", _TOO_DEEP_JSON)
+def test_json_nested_too_deep_is_data_error_naming_the_file(tmp_path, capsys, case):
+    kind, name, payload = _TOO_DEEP_JSON[case]
+    data = tmp_path / "data"
+    main(["synth", "--h", "32", "--w", "32", "--n", "1", "--out", str(data)])
+    if kind == "stack":
+        root = data
+        argv = ["merge", "--in", str(root), "--out", str(tmp_path / "o")]
+    else:
+        root = data / "gt"
+        argv = ["eval", "--pred", str(root), "--gt", str(root)]
+        argv += ["--out", str(tmp_path / "o.json")]
+    (root / name).write_bytes(payload)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / name}: invalid JSON (")
+    assert err.endswith("\n") and err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("command", ["eval", "stats", "assign"])
+def test_panoptic_set_of_the_old_schema_is_refused_naming_the_index(
+    tmp_path, capsys, command
+):
+    data = tmp_path / "data"
+    main(["synth", "--h", "32", "--w", "32", "--n", "1", "--out", str(data)])
+    index = data / "gt" / "panoptic.json"
+    index.write_text(index.read_text().replace("panoptic-dir/2", "panoptic-dir/1"))
+    capsys.readouterr()
+    pred = data if command == "assign" else data / "gt"
+    argv = [command, "--pred", str(pred), "--gt", str(data / "gt")]
+    assert main([*argv, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {index}: expected schema 'panoptic-dir/2', got 'panoptic-dir/1'\n"
+    )
+    assert not (tmp_path / "o.json").exists()
 
 
 # every field of every record table in manifest.py gets each of these values,
@@ -426,7 +478,7 @@ _CHECKED_AGAINST_RASTERS = {("segment", "instance_id"), ("segment", "category_id
 
 
 def _image_0_rasters(root):
-    return f"error: {root / '0000_sem.pst'}, {root / '0000_ids.pst'}: image 0000: "
+    return f"error: {root / '0000_ids.pst'}: image 0000: "
 
 
 def _field_mutations():
@@ -516,10 +568,9 @@ def _assert_threads_match_sequential(tmp_path, synth_args, merge_args):
         argv = ["eval", "--pred", str(tmp_path / out), "--gt", str(data / "gt")]
         assert main(argv + ["--threads", threads, "--out", report]) == 0
     for name in ("0000", "0001", "0002"):
-        for suffix in ("_ids.pst", "_sem.pst"):
-            assert (tmp_path / "seq" / f"{name}{suffix}").read_bytes() == (
-                tmp_path / "par" / f"{name}{suffix}"
-            ).read_bytes()
+        assert (tmp_path / "seq" / f"{name}_ids.pst").read_bytes() == (
+            tmp_path / "par" / f"{name}_ids.pst"
+        ).read_bytes()
     for name in ("panoptic.json", "pq.json"):
         assert (tmp_path / "seq" / name).read_bytes() == (
             tmp_path / "par" / name
@@ -1334,8 +1385,7 @@ def test_eval_refuses_a_stored_instance_id_beyond_int32(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == 2
     gt = data / "gt"
     assert capsys.readouterr().err == (
-        f"error: {gt / '0000_sem.pst'}, {gt / '0000_ids.pst'}: image 0000: "
-        "instance ids exceed int32 range\n"
+        f"error: {gt / '0000_ids.pst'}: image 0000: instance ids exceed int32 range\n"
     )
 
 

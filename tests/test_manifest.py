@@ -13,6 +13,7 @@ from panokit import (
     MaskStack,
     PanopticMap,
     SceneParams,
+    Segment,
     ValidationError,
     generate_scene,
 )
@@ -127,10 +128,9 @@ def test_panoptic_set_rewrites_identically(tmp_path):
     index = write_panoptic_set(tmp_path / "m1", DEFAULT_TAXONOMY, [("a", gt)])
     again = write_panoptic_set(tmp_path / "m2", DEFAULT_TAXONOMY, [("a", gt)])
     assert index.read_bytes() == again.read_bytes()
-    for name in ("a_sem.pst", "a_ids.pst"):
-        assert (tmp_path / "m1" / name).read_bytes() == (
-            tmp_path / "m2" / name
-        ).read_bytes()
+    assert (tmp_path / "m1" / "a_ids.pst").read_bytes() == (
+        tmp_path / "m2" / "a_ids.pst"
+    ).read_bytes()
 
 
 def test_panoptic_set_validates_maps_on_read(tmp_path):
@@ -143,11 +143,11 @@ def test_panoptic_set_validates_maps_on_read(tmp_path):
         read_panoptic_set(index)
 
 
-def test_panoptic_set_ids_at_another_shape_name_the_file(tmp_path):
+def test_panoptic_set_ids_that_are_not_2d_name_the_file(tmp_path):
     gt, _ = _scene(0)
     write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", gt)])
-    write_pst(tmp_path / "maps" / "a_ids.pst", np.zeros((32, 33), np.uint32))
-    message = r"sem \(32, 32\) and ids \(32, 33\) must be equal 2-d shapes"
+    write_pst(tmp_path / "maps" / "a_ids.pst", np.zeros((32, 32, 1), np.uint32))
+    message = r"ids must be 2-d, got shape \(32, 32, 1\)"
     with pytest.raises(ValidationError, match=rf"a_ids\.pst: image a: {message}"):
         read_panoptic_set(tmp_path / "maps")
 
@@ -163,24 +163,46 @@ def test_panoptic_set_refuses_a_stored_id_beyond_int32(tmp_path):
         read_panoptic_set(tmp_path / "maps")
 
 
-@pytest.mark.parametrize(
-    "raster, value, message",
-    [
-        ("sem", -1, r"category ids must lie in \[0, 2\*\*16\)"),
-        ("sem", 2**16, r"category ids must lie in \[0, 2\*\*16\)"),
-        ("ids", -1, r"instance ids must lie in \[0, 2\*\*31\)"),
-    ],
-)
-def test_panoptic_writer_rejects_ids_outside_the_stored_range(
-    tmp_path, raster, value, message
-):
+# case -> (map of scene 0 that breaks validate()'s rule, the rule's message)
+_INVALID_MAPS = {
+    # a negative id has no record, so the unsigned file never wraps one
+    "negative id": (
+        lambda gt: PanopticMap(None, np.where(gt.ids == 1, -1, gt.ids), gt.segments),
+        "instance id -1 has no segment record",
+    ),
+    "unrecorded id": (
+        lambda gt: PanopticMap(None, gt.ids, gt.segments[1:]),
+        "instance id 1 has no segment record",
+    ),
+    "id listed twice": (
+        lambda gt: PanopticMap(None, gt.ids, (*gt.segments, gt.segments[0])),
+        "instance id 1 listed twice",
+    ),
+    "id not 1-based": (
+        lambda gt: PanopticMap(None, gt.ids, (*gt.segments, Segment(0, 1))),
+        "instance id 0 is not 1-based",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _INVALID_MAPS)
+def test_panoptic_writer_validates_maps_before_making_the_set(tmp_path, case):
     gt, _ = _scene(0)
-    rasters = {"sem": gt.sem.copy(), "ids": gt.ids.copy()}
-    rasters[raster][3, 5] = value  # uint16/uint32 casts would wrap it
-    bad = PanopticMap(rasters["sem"], rasters["ids"], gt.segments)
-    with pytest.raises(ValidationError, match=rf"image a: {message}"):
-        write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", bad)])
-    assert not (tmp_path / "maps" / "panoptic.json").exists()
+    invalid, rule = _INVALID_MAPS[case]
+    with pytest.raises(ValidationError, match=rf"^image a: {rule}$"):
+        write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", invalid(gt))])
+    assert not (tmp_path / "maps").exists()
+
+
+def test_panoptic_set_stores_ids_and_segment_records_only(tmp_path):
+    gt, _ = _scene(0)
+    index = write_panoptic_set(tmp_path / "maps", DEFAULT_TAXONOMY, [("a", gt)])
+    payload = json.loads(index.read_text())
+    assert payload["schema"] == "panoptic-dir/2"
+    assert [list(image) for image in payload["images"]] == [["id", "ids", "segments"]]
+    assert sorted(p.name for p in index.parent.iterdir()) == [
+        "a_ids.pst", "panoptic.json", "taxonomy.json"
+    ]
 
 
 def test_panoptic_sets_reject_categories_outside_their_taxonomy(tmp_path):
@@ -286,7 +308,7 @@ def test_interrupted_rewrite_leaves_no_index(tmp_path, monkeypatch, kind):
 def test_set_writes_leave_no_temp_file(tmp_path, monkeypatch, kind):
     out = tmp_path / "set"
     index = _write_set(kind, out, seed=0)
-    tensors = ("masks", "probs") if kind == "stack" else ("sem", "ids")
+    tensors = ("masks", "probs") if kind == "stack" else ("ids",)
     names = {"taxonomy.json", index.name}
     names |= {f"{image}_{t}.pst" for image in "ab" for t in tensors}
     assert {p.name for p in out.iterdir()} == names
@@ -344,7 +366,7 @@ _ESCAPING_NAMES = {
 def test_set_readers_reject_names_that_leave_the_directory(tmp_path, kind, case):
     index = _write_set(kind, tmp_path / "set", seed=0)
     _write_set(kind, tmp_path / "other", seed=1)
-    tensor = "masks" if kind == "stack" else "sem"
+    tensor = "masks" if kind == "stack" else "ids"
     field, value = _ESCAPING_NAMES[case]
     value = value.format(other=tmp_path / "other", tensor=tensor)
     payload = json.loads(index.read_text())
@@ -358,11 +380,10 @@ def test_set_readers_reject_names_that_leave_the_directory(tmp_path, kind, case)
 
 
 # tensor file -> its values in another storable dtype, which a cast to the
-# in-memory dtype would take silently (float sem values would truncate)
+# in-memory dtype would take silently
 _RECASTS = {
     "masks": lambda a: (a > 0.5).astype(np.uint16),
     "probs": lambda a: (a > 0.5).astype(np.uint16),
-    "sem": lambda a: a.astype(np.float32) + np.float32(0.7),
     "ids": lambda a: a.astype(np.uint16),
 }
 
@@ -393,7 +414,7 @@ def _load_set(kind, path):
 # set kind -> the file names of image a, taxonomy.json among them
 _SET_FILES = {
     "stack": ("a_masks.pst", "a_probs.pst", "taxonomy.json"),
-    "panoptic": ("a_sem.pst", "a_ids.pst", "taxonomy.json"),
+    "panoptic": ("a_ids.pst", "taxonomy.json"),
 }
 
 
@@ -504,6 +525,6 @@ def test_set_writers_refuse_what_readers_refuse(tmp_path, case):
         getattr(item, layout.records)
     )
     index.write_text(json.dumps(payload))
-    prefix = re.escape(f"{paths[0]}, {paths[1]}: image a: ")
+    prefix = re.escape(f"{', '.join(map(str, paths))}: image a: ")
     with pytest.raises(ValidationError, match=rf"^{prefix}{rule}"):
         _load_set(kind, out)

@@ -200,10 +200,9 @@ def test_query_stats_fp_when_category_wrong():
 
 
 def _map_without_records():
-    sem = np.zeros((4, 4), np.int32)
     ids = np.zeros((4, 4), np.int32)
-    sem[0], ids[0] = 1, 5
-    return PanopticMap(sem, ids, ())
+    ids[0] = 5
+    return PanopticMap(None, ids, ())
 
 
 def test_pq_missing_segment_record_rejected():
@@ -214,7 +213,7 @@ def test_pq_missing_segment_record_rejected():
 
 def test_query_stats_missing_segment_record_rejected():
     bare = _map_without_records()
-    gt = make_map(bare.sem, bare.ids)
+    gt = make_map(np.where(bare.ids, 1, 0), bare.ids)
     with pytest.raises(ValidationError, match="pred instance id 5"):
         query_stats(bare, gt, DEFAULT_TAXONOMY)
 
@@ -244,11 +243,11 @@ def test_missing_records_name_the_lowest_id():
     pred_ids = np.zeros((4, 4), np.int32)
     pred_ids[0], pred_ids[1] = 55, 47
     gt = PanopticMap(sem, gt_ids, (Segment(2, 1), Segment(1, 1)))
-    pred = PanopticMap(sem, pred_ids, ())
+    pred = PanopticMap(None, pred_ids, ())
     with pytest.raises(ValidationError, match="pred instance id 47 has"):
         pq(pred, gt, DEFAULT_TAXONOMY)
     with pytest.raises(ValidationError, match="gt instance id 1 has"):
-        pq(pred, PanopticMap(sem, gt_ids, ()), DEFAULT_TAXONOMY)
+        pq(pred, PanopticMap(None, gt_ids, ()), DEFAULT_TAXONOMY)
 
 
 def _random_map_pair(rng, size=12):

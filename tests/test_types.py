@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panokit import (
     DEFAULT_TAXONOMY,
@@ -145,8 +146,8 @@ def test_category_id_must_fit_the_stored_uint16(big):
         CategorySpec(big, "too big", True)
 
 
-def test_panoptic_map_void_coupling_enforced():
-    message = "^sem and ids disagree on which pixels are void$"
+def test_panoptic_map_refuses_a_given_sem_that_disagrees():
+    message = "^sem disagrees with ids and the segment records$"
 
     def rasters():  # PanopticMap locks its arrays, so each map gets new ones
         sem = np.zeros((4, 4), np.int32)
@@ -158,22 +159,29 @@ def test_panoptic_map_void_coupling_enforced():
     segments = (Segment(1, 1),)
     PanopticMap(*rasters(), segments).validate()
     sem, ids = rasters()
-    sem[3, 3] = 1  # a category without an instance id
+    sem[3, 3] = 1  # a category on a void pixel
     with pytest.raises(ValidationError, match=message):
-        PanopticMap(sem, ids, segments).validate()
+        PanopticMap(sem, ids, segments)
     sem, ids = rasters()
     ids[3, 3] = 1  # an instance id without a category
     with pytest.raises(ValidationError, match=message):
-        PanopticMap(sem, ids, segments).validate()
-    # coupling is checked before the segment records: id 2 has no record,
-    # id 1 is listed twice, and a listed id is not 1-based
-    for records in ((), (Segment(1, 1), Segment(1, 1)), (Segment(0, 1),)):
+        PanopticMap(sem, ids, segments)
+    sem, ids = rasters()
+    sem[1] = 2  # instance 1 spans two categories
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(sem, ids, segments)
+    # the segment records are checked first, since sem is derived from them
+    for records, rule in (
+        ((), "instance id 1 has no segment record"),
+        ((Segment(1, 1), Segment(1, 1)), "instance id 1 listed twice"),
+        ((Segment(0, 1),), "instance id 0 is not 1-based"),
+    ):
         sem, ids = rasters()
         sem[3, 3] = 2
         ids[2:3] = 2
         sem[2:3] = 2
-        with pytest.raises(ValidationError, match=message):
-            PanopticMap(sem, ids, records).validate()
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
+            PanopticMap(sem, ids, records)
 
 
 def test_panoptic_map_segment_bookkeeping():
@@ -189,39 +197,95 @@ def test_panoptic_map_segment_bookkeeping():
         PanopticMap(sem, ids, (Segment(1, 1), Segment(1, 2))).validate()
 
 
-def test_panoptic_map_one_category_per_id():
-    sem = np.zeros((4, 4), np.int32)
+def test_panoptic_map_reports_lowest_unrecorded_id():
     ids = np.zeros((4, 4), np.int32)
-    sem[0] = 1
-    sem[1] = 2
-    ids[:2] = 1
-    message = r"instance id 1 spans categories \[1, 2\], segment record says 1"
+    ids[0], ids[1], ids[2] = 5, 2, 7
+    with pytest.raises(ValidationError, match="^instance id 2 has no segment record$"):
+        PanopticMap(None, ids, (Segment(7, 1),)).validate()
+    with pytest.raises(ValidationError, match="^instance id 5 has no segment record$"):
+        PanopticMap(None, ids, (Segment(2, 2), Segment(7, 1))).validate()
+
+
+def _naive_sem(ids, records):
+    """Each pixel's category by a dict lookup, 0 where the id is void."""
+    category = {s.instance_id: s.category_id for s in records}
+    return np.array(
+        [[category[i] if i else 0 for i in row] for row in ids.tolist()], np.int32
+    ).reshape(ids.shape)
+
+
+def _draw_map(data):
+    """ids over a palette of wide ids (up to 2**31 - 1, some never painted)
+    and one record per palette id, drawn in arbitrary id order."""
+    palette = data.draw(st.lists(st.integers(1, 2**31 - 1), max_size=8, unique=True))
+    shape = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    ids = data.draw(arrays(np.int32, shape, elements=st.sampled_from([0, *palette])))
+    records = [Segment(i, data.draw(st.integers(-(2**31), 2**31 - 1))) for i in palette]
+    return ids, data.draw(st.permutations(records))
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(st.data())
+def test_derived_sem_is_a_per_pixel_record_lookup(data):
+    ids, records = _draw_map(data)
+    pmap = PanopticMap(None, ids, records)
+    want = _naive_sem(ids, records)
+    assert pmap.sem.dtype == np.int32
+    np.testing.assert_array_equal(pmap.sem, want)
+    assert np.array_equal(PanopticMap(want, ids, records).sem, want)
+    if ids.size:  # a given sem that disagrees anywhere is refused when built
+        wrong = want.copy()
+        wrong.flat[data.draw(st.integers(0, ids.size - 1))] ^= 1
+        with pytest.raises(ValidationError, match="^sem disagrees with ids"):
+            PanopticMap(wrong, ids, records)
+
+
+@_PROPERTY
+@given(st.data())
+def test_unrecorded_ids_name_the_lowest(data):
+    ids, records = _draw_map(data)
+    listed = [s.instance_id for s in records]
+    dropped = data.draw(st.sets(st.sampled_from(listed))) if listed else set()
+    kept = [s for s in records if s.instance_id not in dropped]
+    missing = sorted(dropped & set(ids.ravel().tolist()))
+    pmap = PanopticMap(None, ids, kept)
+    if not missing:
+        np.testing.assert_array_equal(pmap.validate().sem, _naive_sem(ids, records))
+        return
+    message = f"^instance id {missing[0]} has no segment record$"
     with pytest.raises(ValidationError, match=message):
-        PanopticMap(sem, ids, (Segment(1, 1),)).validate()
-
-
-def test_panoptic_map_lists_spanned_categories_in_signed_order():
-    # _pair_counts orders categories as unsigned, so -1 comes after 2 there
-    sem = np.zeros((4, 4), np.int32)
-    ids = np.zeros((4, 4), np.int32)
-    sem[0], ids[0] = 2, 1
-    sem[1], ids[1] = -1, 1
-    message = r"^instance id 1 spans categories \[-1, 2\], segment record says 2$"
+        pmap.validate()
     with pytest.raises(ValidationError, match=message):
-        PanopticMap(sem, ids, (Segment(1, 2),)).validate()
+        pmap.sem
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(_naive_sem(ids, records), ids, kept)
 
 
-def test_panoptic_map_reports_lowest_failing_id():
-    # id 5 spans two categories and id 2 has no record: the lower id is named
-    sem = np.zeros((4, 4), np.int32)
-    ids = np.zeros((4, 4), np.int32)
-    sem[0], ids[0] = 3, 5
-    sem[1], ids[1] = 1, 5
-    sem[2], ids[2] = 2, 2
-    with pytest.raises(ValidationError, match="instance id 2 has no segment record"):
-        PanopticMap(sem, ids, (Segment(5, 1),)).validate()
-    with pytest.raises(ValidationError, match=r"instance id 5 spans categories \[1, 3\]"):
-        PanopticMap(sem, ids, (Segment(2, 2), Segment(5, 1))).validate()
+@_PROPERTY
+@given(st.data())
+def test_a_category_outside_int32_is_refused_when_sem_is_read(data):
+    ids, records = _draw_map(data)
+    if not records:
+        return
+    k = data.draw(st.integers(0, len(records) - 1))
+    big = data.draw(st.integers(2**31, 2**70) | st.integers(-(2**70), -(2**31) - 1))
+    wide = [*records[:k], Segment(records[k].instance_id, big), *records[k + 1:]]
+    pmap = PanopticMap(None, ids, wide).validate()  # validate reads no category
+    with pytest.raises(ValidationError, match="^category ids exceed int32 range$"):
+        pmap.sem
+
+
+def test_sem_is_derived_once_and_locked():
+    ids = np.array([[0, 3], [3, 2**31 - 1]], np.int32)
+    # a record id beyond int32 labels no pixel, whatever its category
+    records = (Segment(2**40, 2**70), Segment(2**31 - 1, 6), Segment(3, 1))
+    pmap = PanopticMap(None, ids, records)
+    assert pmap.sem is pmap.sem
+    assert not pmap.sem.flags.writeable
+    np.testing.assert_array_equal(pmap.sem, [[0, 1], [1, 6]])
 
 
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
@@ -235,11 +299,20 @@ def test_segment_refuses_a_non_finite_score(score):
 
 
 @pytest.mark.parametrize(
-    "sem, ids", [((4, 4), (4, 5)), ((4, 4), (4, 4, 1)), ((16,), (16,))]
+    "sem, ids",
+    [
+        ((4, 4), (4, 5)),
+        ((4, 4), (4, 4, 1)),
+        ((16,), (16,)),
+        (None, (16,)),
+        (None, (4, 4, 1)),
+    ],
 )
 def test_panoptic_map_shapes_checked_when_built(sem, ids):
-    with pytest.raises(ValidationError, match="must be equal 2-d shapes"):
-        PanopticMap(np.zeros(sem), np.zeros(ids), ())
+    # ids must be 2-d; a given sem of another shape disagrees with them
+    message = "^sem disagrees" if len(ids) == 2 else "^ids must be 2-d"
+    with pytest.raises(ValidationError, match=message):
+        PanopticMap(None if sem is None else np.zeros(sem), np.zeros(ids), ())
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (0, 0)], ids=["0x4", "0x0"])
@@ -311,8 +384,10 @@ def test_panoptic_map_refuses_values_its_int32_cast_would_change(raster, values,
 
 def test_panoptic_map_takes_rasters_int32_holds_exactly():
     ids = np.array([[-1, 0, 2**31 - 1]], np.int64)  # negative ids stay constructible
+    np.testing.assert_array_equal(PanopticMap(None, ids).ids, ids)
+    ids = np.array([[1, 0, 2**31 - 1]], np.int64)
     sem = np.array([[1.0, 0.0, 2.0]])
-    pmap = PanopticMap(sem, ids)
+    pmap = PanopticMap(sem, ids, (Segment(2**31 - 1, 2), Segment(1, 1)))
     assert pmap.ids.dtype == pmap.sem.dtype == np.int32
     np.testing.assert_array_equal(pmap.ids, ids)
     np.testing.assert_array_equal(pmap.sem, [[1, 0, 2]])
