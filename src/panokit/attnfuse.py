@@ -17,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import pst
+from .merging import _STRIP_PIXELS
 from .types import MultiScaleAttn, ValidationError, _naming, token_counts
 
 
@@ -74,11 +75,13 @@ class FuseHead:
 
 def split_attn(attn: MultiScaleAttn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """De-flatten tokens into three row-major spatial maps, finest first:
-    (H/8, W/8, h), (H/16, W/16, h), (H/32, W/32, h)."""
+    (H/8, W/8, h), (H/16, W/16, h), (H/32, W/32, h), each behind the
+    batch's leading query axis when the tokens carry one."""
     h, w = attn.base_height, attn.base_width
     l1, l2, _ = token_counts(h, w)
-    scales = zip(np.split(attn.tokens, [l1, l1 + l2]), (8, 16, 32))
-    return tuple(t.reshape(h // s, w // s, attn.heads) for t, s in scales)
+    lead = attn.tokens.shape[:-2]
+    scales = zip(np.split(attn.tokens, [l1, l1 + l2], axis=-2), (8, 16, 32))
+    return tuple(t.reshape(*lead, h // s, w // s, attn.heads) for t, s in scales)
 
 
 def flatten_attn(a3: np.ndarray, a4: np.ndarray, a5: np.ndarray) -> MultiScaleAttn:
@@ -160,14 +163,27 @@ def predict_mask(fused: np.ndarray, head: FuseHead) -> np.ndarray:
     return expit(f @ head.weights + head.bias)
 
 
+def _contract(maps: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each query's (rows, cols, h) map @ weights into its row of out: one
+    matmul per query, in a one-query call's shape, so that a batch rounds
+    as its queries do alone."""
+    for query, row in zip(maps, out):
+        np.matmul(query, weights, out=row)
+    return out
+
+
 def attn_to_mask(attn: MultiScaleAttn, head: FuseHead) -> np.ndarray:
     """Full pipeline: split, then the head per scale, upsample, squash.
 
-    Bilinear upsampling and the head are both linear per channel, so each
-    scale is contracted with its own slice of the weights first and only
-    two single-channel maps are upsampled. Equals
+    Takes one query's tokens and returns its (H/8, W/8) map, or a batch's
+    and returns (N, H/8, W/8); each map of a batch equals the one-query
+    call bit for bit. Bilinear upsampling and the head are both linear per
+    channel, so each scale is contracted with its own slice of the weights
+    first and only two single-channel maps are upsampled. Equals
     ``predict_mask(fuse_attn(*split_attn(attn)), head)``, the reference,
     up to float64 rounding; the (H/8, W/8, 3h) fused tensor is never built.
+    Queries are upsampled and squashed in chunks of at most _STRIP_PIXELS
+    output pixels, so the temporaries do not grow with the batch.
     """
     if head.heads != attn.heads:
         raise ValidationError(
@@ -176,10 +192,20 @@ def attn_to_mask(attn: MultiScaleAttn, head: FuseHead) -> np.ndarray:
     from scipy.special import expit  # loaded on first use
 
     a3, a4, a5 = split_attn(attn)
+    single = a3.ndim == 3
+    if single:
+        a3, a4, a5 = a3[None], a4[None], a5[None]
     h = attn.heads
     w = head.weights
-    logit = a3 @ w[:h]
-    for coarse, factor, weights in ((a4, 2, w[h : 2 * h]), (a5, 4, w[2 * h :])):
-        logit += _lerp_axis(_lerp_axis(coarse @ weights, factor, 0), factor, 1)
-    logit += head.bias
-    return expit(logit, out=logit)
+    logit = np.empty(a3.shape[:-1])
+    step = max(1, _STRIP_PIXELS // (a3.shape[1] * a3.shape[2]))
+    for start in range(0, len(logit), step):
+        chunk = slice(start, start + step)
+        part = _contract(a3[chunk], w[:h], logit[chunk])
+        for coarse, factor, weights in ((a4, 2, w[h : 2 * h]), (a5, 4, w[2 * h :])):
+            maps = coarse[chunk]
+            small = _contract(maps, weights, np.empty(maps.shape[:-1]))
+            part += _lerp_axis(_lerp_axis(small, factor, -2), factor, -1)
+        part += head.bias
+        expit(part, out=part)
+    return logit[0] if single else logit

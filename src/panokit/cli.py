@@ -442,15 +442,11 @@ def _cmd_fuse(args) -> int:
             )
     else:
         head = FuseHead.seeded(heads, args.seed_head)
-    batch = tokens[None] if tokens.ndim == 2 else tokens
     with _naming(args.attn):
-        attns = [MultiScaleAttn(t, heads, args.height, args.width) for t in batch]
-    masks = np.empty((len(batch), args.height // 8, args.width // 8), np.float32)
-    for i, attn in enumerate(attns):
-        masks[i] = attn_to_mask(attn, head)
-    out_arr = masks[0] if tokens.ndim == 2 else masks
-    write_pst(args.out, out_arr)
-    print(f"wrote {out_arr.shape} soft masks to {args.out}")
+        attn = MultiScaleAttn(tokens, heads, args.height, args.width)
+    masks = attn_to_mask(attn, head).astype(np.float32)
+    write_pst(args.out, masks)
+    print(f"wrote {masks.shape} soft masks to {args.out}")
     return 0
 
 

@@ -384,10 +384,11 @@ def token_counts(height: int, width: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class MultiScaleAttn:
-    """Flattened multi-scale attention tokens for one query.
+    """Flattened multi-scale attention tokens for one query or a batch.
 
-    tokens  (L1+L2+L3, h) float32, scales concatenated coarse-to-fine
-            (1/8 first), each scale flattened row-major
+    tokens  (L1+L2+L3, h) float32 for one query, or (N, L1+L2+L3, h) for a
+            batch of N; scales concatenated coarse-to-fine (1/8 first),
+            each scale flattened row-major
     """
 
     tokens: np.ndarray
@@ -400,10 +401,12 @@ class MultiScaleAttn:
         if self.heads < 1:
             raise ValidationError(f"heads must be >= 1, got {self.heads}")
         expected = sum(token_counts(self.base_height, self.base_width))
-        if self.tokens.ndim != 2 or self.tokens.shape != (expected, self.heads):
+        shape = self.tokens.shape
+        if len(shape) not in (2, 3) or shape[-2:] != (expected, self.heads):
             raise ValidationError(
-                f"tokens must have shape ({expected}, {self.heads}) for a "
-                f"{self.base_height}x{self.base_width} base, got {self.tokens.shape}"
+                f"tokens must have shape ({expected}, {self.heads}) or "
+                f"(N, {expected}, {self.heads}) for a "
+                f"{self.base_height}x{self.base_width} base, got {shape}"
             )
         if not np.isfinite(self.tokens).all():
             raise ValidationError("tokens must be finite")

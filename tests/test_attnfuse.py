@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panokit import (
     FuseHead,
@@ -15,6 +17,7 @@ from panokit import (
     split_attn,
     token_counts,
 )
+from panokit.merging import _STRIP_PIXELS
 
 
 def _attn(height, width, heads, seed=0):
@@ -198,3 +201,64 @@ def test_attn_to_mask_never_builds_the_fused_tensor():
     finally:
         tracemalloc.stop()
     assert peak < (height // 8) * (width // 8) * 3 * heads * 8 / 2
+
+
+_SIDES = st.sampled_from(range(32, 257, 32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    _SIDES,
+    _SIDES,
+    st.sampled_from((1, 3, 8)),
+    st.booleans(),
+    # batch size as (whole chunks, offset): 0, 1, chunk - 1, chunk, chunk + 1
+    st.sampled_from(((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_attn_to_mask_is_the_stack_of_single_calls(
+    height, width, heads, seeded_head, size, seed
+):
+    rng = np.random.default_rng(seed)
+    rows, cols = height // 8, width // 8
+    chunks, offset = size
+    n = chunks * (_STRIP_PIXELS // (rows * cols)) + offset
+    length = sum(token_counts(height, width))
+    tokens = rng.random((n, length, heads), dtype=np.float32)
+    if seeded_head:
+        head = FuseHead.seeded(heads, seed)
+    else:
+        head = FuseHead(rng.normal(0.0, 40.0, 3 * heads), rng.normal(0.0, 40.0))
+    got = attn_to_mask(MultiScaleAttn(tokens, heads, height, width), head)
+    assert got.shape == (n, rows, cols) and got.dtype == np.float64
+    want = np.empty_like(got)
+    for i, query in enumerate(tokens):
+        want[i] = single = attn_to_mask(
+            MultiScaleAttn(query, heads, height, width), head
+        )
+        assert single.shape == (rows, cols)
+    assert np.array_equal(got, want)
+
+
+def test_attn_to_mask_temporaries_are_bounded_by_the_chunk():
+    # at 512x512 one chunk holds 16 queries; a batch of four chunks may
+    # outgrow a batch of one chunk by no more than its larger output
+    height = width = 512
+    heads = 8
+    pixels = (height // 8) * (width // 8)
+    chunk = _STRIP_PIXELS // pixels
+    tokens = _attn(height, width, heads).tokens
+    head = FuseHead.seeded(heads, 0)
+    attn_to_mask(MultiScaleAttn(tokens, heads, height, width), head)  # load scipy
+
+    def peak(n):
+        attn = MultiScaleAttn(np.repeat(tokens[None], n, axis=0), heads, height, width)
+        tracemalloc.start()
+        try:
+            attn_to_mask(attn, head)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown_output = (4 * chunk - chunk) * pixels * 8
+    assert peak(4 * chunk) - peak(chunk) <= grown_output + 64 * 1024

@@ -1142,8 +1142,8 @@ def test_fuse_head_of_a_length_other_than_3h_plus_1_names_the_file(
 
 
 # case -> (tokens shape, --height, message). A 64x32 base needs 42 tokens
-# per query; an empty batch builds no MultiScaleAttn, so fuse checks its
-# shape itself.
+# per query; an empty batch still builds one MultiScaleAttn, but fuse checks
+# the shape first, naming the file.
 _EMPTY_BATCH_ERRORS = {
     "token length": (
         (0, 21, 2), "64", "{attn}: a 64x32 base needs 42 tokens per query, got shape (0, 21, 2)"
