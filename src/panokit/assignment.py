@@ -132,28 +132,30 @@ class MatchTarget:
 
 
 def mass_center(mask: np.ndarray) -> np.ndarray:
-    """Probability-weighted (y, x) center of a mask.
+    """Probability-weighted (y, x) center of a mask, from its row and column
+    sums accumulated in float64; the total is the sum of the row sums.
 
     A bool mask is summed inside its _extent only, with absolute row and
     column indices. Every partial sum is then an integer below 2**53, exact
     in float64 in any order, and the pixels outside the window add exact
     zeros, so the center is bit-identical to that of the mask's float64
-    copy. Other masks are summed as that float64 copy: a float32 total
-    accumulated in another order can differ by an ulp."""
+    copy. A soft mask is summed in place, with no float64 copy of the
+    frame: a float32 row or total accumulated in another order than the
+    copy's can move the center by ulps, within 1e-12 of the copy's."""
     m = np.asarray(mask)
+    y0 = x0 = 0
     if m.dtype == np.bool_:
         rows, cols = _extent(m)
         m = m[rows, cols]
         y0, x0 = rows.start, cols.start
-    else:
-        m = np.asarray(m, np.float64)
-        y0 = x0 = 0
-    total = float(m.sum())
+    row_mass = m.sum(axis=1, dtype=np.float64)
+    col_mass = m.sum(axis=0, dtype=np.float64)
+    total = float(row_mass.sum())
     if total <= 0:
         raise ValidationError("mass center of an all-zero mask is undefined")
     ys = np.arange(y0, y0 + m.shape[0], dtype=np.float64)
     xs = np.arange(x0, x0 + m.shape[1], dtype=np.float64)
-    return np.array([(m.sum(axis=1) * ys).sum() / total, (m.sum(axis=0) * xs).sum() / total])
+    return np.array([(row_mass * ys).sum() / total, (col_mass * xs).sum() / total])
 
 
 def bbox_of(mask: np.ndarray) -> np.ndarray:
@@ -282,11 +284,14 @@ def build_cost_matrix(
         loc_cost = np.abs(qc[:, None] - tc[None]).sum(axis=-1)
     else:
         raise ValidationError(f"unknown location mode {location_mode!r}")
-    costs = (
-        weights.lambda_cls * cls_cost
-        + weights.lambda_seg * seg_cost
-        + weights.lambda_det * loc_cost
-    )
+    # weights large enough to overflow make inf entries, which hungarian
+    # refuses by name; numpy's overflow warning would only repeat that
+    with np.errstate(over="ignore"):
+        costs = (
+            weights.lambda_cls * cls_cost
+            + weights.lambda_seg * seg_cost
+            + weights.lambda_det * loc_cost
+        )
     # run-time canary: one entry recomputed by the scalar reference, at the
     # cost of one full-frame dice per matrix
     want = matching_cost(queries[0], targets[0], weights, location_mode, normalize)
@@ -329,7 +334,10 @@ def _dice_costs(
     """(Q, T) dice_loss of each query mask against each target mask. The
     intersection with a target is summed inside the bounding window of its
     nonzero pixels only, since pixels outside it add exactly zero. The query
-    masks are never stacked: each target copies only its window of each."""
+    masks are never stacked: each target copies only its window of each.
+    A bool target's intersections are one float64 reduction over that
+    window stack, masked by the target; it sums in another order than
+    dice_loss's full-frame product, so entries agree with it to 1e-12."""
     masks = [q.mask for q in queries]
     q_sums = np.array([m.sum(dtype=np.float64) for m in masks])
     inter = np.zeros((len(queries), len(targets)), np.float64)
@@ -340,7 +348,7 @@ def _dice_costs(
         window = np.stack([m[rows, cols] for m in masks])
         gt = gt[rows, cols]
         if gt.dtype == np.bool_:
-            inter[:, j] = window[:, gt].sum(axis=1, dtype=np.float64)
+            inter[:, j] = np.add.reduce(window, axis=(1, 2), dtype=np.float64, where=gt)
             t_sums[j] = np.count_nonzero(gt)
         else:
             gt = gt.astype(np.float64)

@@ -87,9 +87,25 @@ def _dice_terms(pred, gt) -> tuple[np.ndarray, float, float]:
 
 
 def dice_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """1 - (2*sum(pred*gt) + 1) / (sum(pred) + sum(gt) + 1)."""
-    _, num, den = _dice_terms(pred, gt)
-    return 1.0 - num / den
+    """1 - (2*sum(pred*gt) + 1) / (sum(pred) + sum(gt) + 1).
+
+    Bit-identical to the float64 formula of _dice_terms, with one fresh
+    float64 buffer where that makes three: pred's copy is summed, then
+    multiplied in place by gt into the product. A bool gt is counted, an
+    exact integer sum; any other gt is summed as float64."""
+    p = np.asarray(pred)
+    g = np.asarray(gt)
+    if p.shape != g.shape:
+        raise ValidationError(f"shape mismatch: pred {p.shape} vs gt {g.shape}")
+    buf = np.array(p, np.float64)
+    pred_sum = float(buf.sum())
+    if g.dtype == np.bool_:
+        gt_sum = float(np.count_nonzero(g))
+    else:
+        gt_sum = float(np.asarray(g, np.float64).sum())
+    buf *= g
+    num = 2.0 * float(buf.sum()) + _DICE_EPS
+    return 1.0 - num / (pred_sum + gt_sum + _DICE_EPS)
 
 
 def dice_loss_grad(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from panokit import (
     bbox_of,
     build_cost_matrix,
     decoupled_assign,
+    dice_loss,
     focal_loss,
     giou,
     hungarian,
@@ -131,6 +132,29 @@ def test_mass_center_of_bool_mask_is_exact():
     with pytest.raises(ValidationError) as want:
         mass_center(np.zeros((6, 5)))
     assert str(got.value) == str(want.value)
+
+
+def test_mass_center_of_soft_mask_is_within_1e12_of_its_float64_copy():
+    def copy_center(mask):
+        m = mask.astype(np.float64)
+        total = m.sum()
+        ys = np.arange(m.shape[0], dtype=np.float64)
+        xs = np.arange(m.shape[1], dtype=np.float64)
+        return np.array([(m.sum(axis=1) * ys).sum() / total, (m.sum(axis=0) * xs).sum() / total])
+
+    rng = np.random.default_rng(23)
+    cases = [rng.random((1024, 1024)).astype(np.float32)]
+    sparse = np.zeros((300, 700), np.float32)
+    sparse[250:, 640:] = rng.random((50, 60))
+    cases.append(sparse)
+    for _ in range(100):
+        shape = tuple(int(v) for v in rng.integers(1, 200, 2))
+        dtype = (np.float32, np.float64)[int(rng.integers(2))]
+        mask = (rng.random(shape) * (rng.random(shape) < rng.uniform(0.05, 1.0))).astype(dtype)
+        if mask.any():
+            cases.append(mask)
+    for mask in cases:
+        np.testing.assert_allclose(mass_center(mask), copy_center(mask), rtol=0, atol=1e-12)
 
 
 def test_giou_identity_and_disjoint():
@@ -303,6 +327,34 @@ def test_build_cost_matrix_matches_scalar_matching_cost():
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert build_cost_matrix([], targets).shape == (0, len(targets))
+
+
+def test_dice_costs_agree_with_dice_loss_to_1e12():
+    rng = np.random.default_rng(29)
+    for h, w in ((37, 53), (256, 300)):
+        blob = np.zeros((h, w), bool)
+        blob[10:30, 15:40] = rng.random((20, 25)) < 0.7
+        gts = []
+        for edge in (np.s_[0, 5:20], np.s_[-1, 3:30], np.s_[4:30, 0], np.s_[2:11, -1]):
+            touching = blob.copy()
+            touching[edge] = True
+            gts.append(touching)
+        column = np.zeros((h, w), bool)
+        column[3:30, 17] = True
+        row = np.zeros((h, w), bool)
+        row[21, 2:50] = True
+        pixel = np.zeros((h, w), bool)
+        pixel[h - 1, w - 1] = True
+        gts += [column, row, pixel, np.ones((h, w), bool), rng.random((h, w)) < 0.5]
+        soft = rng.random((h, w)) * blob
+        gts += [soft, soft.astype(np.float32)]
+        targets = [MatchTarget(0, gt) for gt in gts]
+        for n_queries in (1, 2, 7):
+            masks = rng.random((n_queries, h, w)).astype(np.float32)
+            queries = [MatchQuery(np.full(3, 0.5), m) for m in masks]
+            got = assignment._dice_costs(queries, targets)
+            want = [[dice_loss(q.mask, t.mask) for t in targets] for q in queries]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_dice_costs_never_stack_the_query_frames():

@@ -706,6 +706,26 @@ def test_assign_gt_image_without_prediction_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
+def test_assign_with_overflowing_lambdas_reports_only_the_refusal(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--seed", "9", "--images", "1", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "a.json"
+    code = main(
+        [
+            "assign", "--pred", str(data / "manifest.json"), "--gt", str(data / "gt"),
+            "--lambdas", "1e308,1e308,1e308", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "image 0000" in lines[0]
+    assert "cost matrix contains non-finite entries" in lines[0]
+    assert not out.exists()
+
+
 def test_eval_of_zero_pixel_maps_reports_no_categories(tmp_path, capsys):
     empty = PanopticMap(np.zeros((0, 4)), np.zeros((0, 4)), ())
     write_panoptic_set(tmp_path / "set", DEFAULT_TAXONOMY, [("0000", empty)])

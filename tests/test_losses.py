@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from panokit import (
     focal_loss,
     lambda_counts,
 )
+
+from panokit.losses import _dice_terms
 
 from conftest import make_map
 
@@ -77,6 +80,41 @@ def test_dice_half_cover_hand_value():
     gt[:2] = True
     # S = 8*0.5 = 4, T = 8 + 8 = 16: 1 - (8+1)/(16+1)
     assert dice_loss(pred, gt) == pytest.approx(1.0 - 9.0 / 17.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([bool, np.float32, np.float64]),
+    st.sampled_from([(1, 1), (3, 5), (64, 64), (130, 257)]),
+)
+def test_dice_loss_is_bit_identical_to_the_float64_formula(seed, pred_dtype, gt_dtype, shape):
+    rng = np.random.default_rng(seed)
+    pred = rng.random(shape).astype(pred_dtype)
+    gt = rng.random(shape) < rng.uniform(0.0, 1.0)
+    if gt_dtype is not bool:
+        gt = (gt * rng.random(shape)).astype(gt_dtype)
+    before = pred.copy()
+    _, num, den = _dice_terms(pred, gt)
+    assert dice_loss(pred, gt) == 1.0 - num / den
+    assert np.array_equal(pred, before)  # the float64 pred is not written through
+
+
+def test_dice_loss_holds_one_float64_frame():
+    rng = np.random.default_rng(3)
+    pred = rng.random((512, 512)).astype(np.float32)
+    gt = rng.random((512, 512)) < 0.4
+    dice_loss(pred, gt)  # warm-up: first-call allocations are not the frame's
+    tracemalloc.start()
+    try:
+        dice_loss(pred, gt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 copy of pred, plus numpy's 64 KiB buffer casting the bool
+    # gt to float64 for the in-place product and the iterator that holds it
+    assert peak <= pred.size * 8 + 64 * 1024 + 4096
 
 
 @settings(max_examples=30, deadline=None)
